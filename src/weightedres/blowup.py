@@ -33,6 +33,7 @@ from .errors import (
     ContactAlignmentError,
     DomainError,
     InvalidMultiOrderError,
+    ResourceLimitError,
 )
 from .invariant import InvariantResult, multiorder
 from .lattice import LT, MultiOrder, is_in_mord, mord_compare
@@ -61,6 +62,8 @@ def rees_generators(
     with N * sum a_k/d_k >= n.  Returns {degree: minimal generators} for all
     degrees up to N (or just the requested one).
     """
+    if N < 1:
+        raise DomainError(f"the root order N must be positive, got {N}")
     ws = [Fraction(1) / e for e in center.exponents]
     for e in center.exponents:
         if (Fraction(N) / e).denominator != 1:

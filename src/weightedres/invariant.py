@@ -17,6 +17,15 @@ and then mord = (d_1, ..., d_n) with center [v_1^{d_1}, ..., v_n^{d_n}]
 through the accumulated change.  The weight bookkeeping keeps every level's
 order directly readable as d_i, avoiding factorial renormalizations.
 
+Dominated entries are merged: of the entries sharing one ideal, only the
+first of largest weight survives, in its own position.  Everything later
+depends on the ideal alone, so a lighter copy's descendants are the
+heavier copy's with smaller weights and never attain delta, and a tie's
+later copy always trails its twin; delta, the minimizer, the contact and
+the center are unchanged (see `_merge_dominated`).  Derivative towers are
+memoized for the duration of one call, keyed by the ordered generator
+tuple, so the contact search and the restriction loop share D^{o-1}(J0).
+
 Contact choice is deterministic: derivative-ideal generators are scanned in
 construction order and the first usable degree-one candidate wins, with ties
 broken by ambient variable order.  A contact that cannot be written as
@@ -99,13 +108,6 @@ class InvariantResult:
     chain: tuple[ContactStep, ...]
 
 
-def _contact_candidates(ideal: PolyIdeal, order: int) -> Iterable[Polynomial]:
-    dd = ideal.derivative_ideal(order - 1)
-    for g in dd.generators:
-        if g.linear_part():
-            yield g
-
-
 def _align_contact(g: Polynomial) -> tuple[str, AlignStep | None, Polynomial]:
     """Normalize a degree-one candidate into an aligned coordinate.
 
@@ -136,24 +138,72 @@ def _align_contact(g: Polynomial) -> tuple[str, AlignStep | None, Polynomial]:
     )
 
 
+def _choose_contact(dd: PolyIdeal) -> tuple[str, AlignStep | None, Polynomial]:
+    """Align the first usable degree-one generator of dd = D^{o-1}(J).
+
+    Generators are scanned in construction order; when none aligns, the
+    last candidate's ContactAlignmentError is raised.
+    """
+    last_error: ContactAlignmentError | None = None
+    for g in dd.generators:
+        if not g.linear_part():
+            continue
+        try:
+            return _align_contact(g)
+        except ContactAlignmentError as err:
+            last_error = err
+    raise last_error or ContactAlignmentError(
+        "no degree-one element found in the derivative ideal"
+    )
+
+
 def maximal_contact(I: PolyIdeal, d: int) -> Polynomial:
     """An order-one element of D^{d-1}(I), normalized and deterministic."""
     if d < 1:
         raise NoContactError("a unit ideal has no maximal contact")
     if I.order() != d:
         raise DomainError(f"ideal has order {I.order()}, expected {d}")
-    last_error: ContactAlignmentError | None = None
-    for g in _contact_candidates(I, d):
-        try:
-            _, _, normalized = _align_contact(g)
-            return normalized
-        except ContactAlignmentError as err:
-            last_error = err
-    if last_error is not None:
-        raise last_error
-    raise ContactAlignmentError(
-        "derivative ideal has order one but no generator exposes a linear term"
-    )
+    return _choose_contact(I.derivative_ideal(d - 1))[2]
+
+
+_Towers = dict[tuple[Polynomial, ...], list[PolyIdeal]]
+
+
+def _tower_level(towers: _Towers, J: PolyIdeal, k: int) -> PolyIdeal:
+    """D^k(J), each step built at most once per generator tuple.
+
+    The key is the ordered generator tuple rather than PolyIdeal equality,
+    which ignores order: the contact choice scans generators in order.
+    """
+    levels = towers.setdefault(J.generators, [J])
+    while len(levels) <= k:
+        levels.append(levels[-1].derivative_extend())
+    return levels[k]
+
+
+def _merge_dominated(
+    entries: list[tuple[PolyIdeal, Fraction]],
+) -> list[tuple[PolyIdeal, Fraction]]:
+    """Drop every entry whose ideal recurs with a larger weight, or with the
+    same weight at an earlier position; survivors keep their own positions.
+
+    Sound because all later data depend only on the ideal: orders,
+    derivative ideals and restrictions to the contact hyperplane are
+    ideal-theoretic.  A dropped copy (J, w) has a kept twin (J, w') with
+    w' >= w, and each descendant of the copy, (D^j(J)|..., w - s), has the
+    twin descendant (D^j(J)|..., w' - s), which exists whenever the first
+    does.  With w' > w the copy's descendant has the larger ord/weight, so
+    it never attains delta; with w' = w the twin precedes it in the list.
+    Either way no level's delta, emptiness or first minimizer changes, and
+    neither do the contact, the chain or the center.
+    """
+    best: dict[PolyIdeal, tuple[Fraction, int]] = {}
+    for i, (J, w) in enumerate(entries):
+        kept = best.get(J)
+        if kept is None or w > kept[0]:
+            best[J] = (w, i)
+    keep = {i for _, i in best.values()}
+    return [entry for i, entry in enumerate(entries) if i in keep]
 
 
 def multiorder(I: PolyIdeal, max_levels: int | None = None) -> InvariantResult:
@@ -174,6 +224,7 @@ def multiorder(I: PolyIdeal, max_levels: int | None = None) -> InvariantResult:
     ds: list[Fraction] = []
     coords: list[str] = []
     chain: list[ContactStep] = []
+    towers: _Towers = {}
 
     for level in range(1, limit + 2):
         collection = MarkedIdealCollection(ambient, entries)
@@ -192,19 +243,7 @@ def multiorder(I: PolyIdeal, max_levels: int | None = None) -> InvariantResult:
         o = J0.order()
         assert o == d * w0 and Fraction(o).denominator == 1
 
-        chosen = None
-        last_error: ContactAlignmentError | None = None
-        for g in _contact_candidates(J0, int(o)):
-            try:
-                chosen = _align_contact(g)
-                break
-            except ContactAlignmentError as err:
-                last_error = err
-        if chosen is None:
-            raise last_error or ContactAlignmentError(
-                "no degree-one element found in the derivative ideal"
-            )
-        var, step, contact = chosen
+        var, step, contact = _choose_contact(_tower_level(towers, J0, int(o) - 1))
 
         if step is not None:
             aligned = [
@@ -220,16 +259,13 @@ def multiorder(I: PolyIdeal, max_levels: int | None = None) -> InvariantResult:
 
         children: list[tuple[PolyIdeal, Fraction]] = []
         for J, w in aligned:
-            tower = J
             j = 0
             while w - Fraction(j) / d > 0:
-                if j > 0:
-                    tower = tower.derivative_extend()
-                restricted = tower.restrict(var)
+                restricted = _tower_level(towers, J, j).restrict(var)
                 if not restricted.is_zero():
                     children.append((restricted, w - Fraction(j) / d))
                 j += 1
-        entries = children
+        entries = _merge_dominated(children)
 
     mord = MultiOrder(ds)
     if not is_in_mord(mord):

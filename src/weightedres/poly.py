@@ -422,10 +422,19 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+def _monic(g: Polynomial) -> Polynomial:
+    """g scaled so that its graded-lex leading coefficient is 1."""
+    return g.scale(Fraction(1) / g.leading()[1])
+
+
 class PolyIdeal:
     """An ideal given by a finite generator list over a shared ambient."""
 
-    __slots__ = ("variables", "generators")
+    # _fresh / _normalized carry a derivative tower forward: generators before
+    # index _fresh already have their first partials in the ideal (up to
+    # scalars), and _normalized holds every generator scaled to a monic
+    # leading term (None until the first derivative step computes it)
+    __slots__ = ("variables", "generators", "_fresh", "_normalized")
 
     def __init__(self, variables: Iterable[str], generators: Iterable[Polynomial]):
         vs = tuple(variables)
@@ -443,6 +452,8 @@ class PolyIdeal:
             gens.append(g)
         object.__setattr__(self, "variables", vs)
         object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "_fresh", 0)
+        object.__setattr__(self, "_normalized", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("PolyIdeal is immutable")
@@ -464,20 +475,30 @@ class PolyIdeal:
 
         Scalar multiples are dropped (they generate the same ideal), which
         keeps iterated derivative towers from exploding combinatorially.
+        Along a tower only the generators the previous step appended are
+        differentiated: the partials of the older ones were already appended
+        or dropped as scalar multiples then, so they would all be dropped
+        again and the generator tuple is the same as a full step's.
         """
         gens = list(self.generators)
-        seen = {g.scale(Fraction(1) / g.leading()[1]) for g in gens}
-        for g in self.generators:
+        if self._normalized is None:
+            seen = {_monic(g) for g in gens}
+        else:
+            seen = set(self._normalized)
+        for g in gens[self._fresh :]:
             for v in self.variables:
                 d = g.derivative(v)
                 if d.is_zero():
                     continue
-                normalized = d.scale(Fraction(1) / d.leading()[1])
+                normalized = _monic(d)
                 if normalized in seen:
                     continue
                 seen.add(normalized)
                 gens.append(d)
-        return PolyIdeal(self.variables, gens)
+        out = PolyIdeal(self.variables, gens)
+        object.__setattr__(out, "_fresh", len(self.generators))
+        object.__setattr__(out, "_normalized", seen)  # never mutated from here on
+        return out
 
     def derivative_ideal(self, k: int) -> "PolyIdeal":
         """D^k: the ideal plus all partial derivatives up to total order k."""

@@ -131,8 +131,10 @@ class _Parser:
             k2, v2 = self.peek()
             if (k2, v2) == ("sym", "/"):
                 self.take()
-                den = self.take("num")
-                value = value / int(den)
+                den = int(self.take("num"))
+                if den == 0:
+                    raise ParseError("division by zero in a coefficient")
+                value = value / den
             return Polynomial.constant(value, self.variables)
         if k == "ident":
             self.take()
@@ -252,6 +254,8 @@ def _center_entry(tokens) -> tuple[Polynomial | str, Fraction]:
                 and inner[1] == ("sym", "/")
                 and inner[2][0] == "num"
             ):
+                if int(inner[2][1]) == 0:
+                    raise ParseError("zero denominator in a center exponent")
                 exp = Fraction(int(inner[0][1]), int(inner[2][1]))
             else:
                 raise ParseError("bad exponent in center entry")

@@ -18,10 +18,16 @@ from weightedres import (
 from weightedres.blowup import (
     BlowupStep,
     TrackedPoint,
+    _eliminate_variable,
     chart_grading_ok,
     transition_agrees,
 )
-from weightedres.errors import AdmissibilityError
+from weightedres.errors import (
+    DEFAULT_DEGREE_CAP,
+    AdmissibilityError,
+    set_degree_cap,
+)
+from weightedres.textio import parse_polynomial
 from weightedres.lattice import LatticeIdeal
 from weightedres.textio import parse_center
 
@@ -248,6 +254,19 @@ def test_divisor_fallback_for_unalignable_regular_points():
     assert trace.steps[0].mord == MultiOrder((1,))
     assert "divisor" in trace.steps[0].note
     assert invariant_drop_check(trace)
+
+
+def test_fiber_elimination_gives_up_under_a_small_degree_cap():
+    amb = ("x", "y")
+    fiber = [
+        parse_polynomial("x^2*y^3 + y - 1", amb),
+        parse_polynomial("x^3*y^2 + x*y + 2", amb),
+    ]
+    set_degree_cap(6)  # the pseudo-remainder sequence needs degree 8
+    try:
+        assert _eliminate_variable(fiber, "x", "y") == []
+    finally:
+        set_degree_cap(DEFAULT_DEGREE_CAP)
 
 
 def test_irrational_singular_point_is_a_typed_status():

@@ -117,6 +117,19 @@ def test_parse_error_exit_code(capsys):
     assert json.loads(out)["error"]["code"] == "parse-error"
 
 
+def test_zero_denominators_are_parse_errors(capsys):
+    for argv in (("mord", "1/0*x"), ("round", "[x^(1/0)]")):
+        code, out = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(out)["error"]["code"] == "parse-error"
+
+
+def test_zero_root_order_is_a_domain_error(capsys):
+    code, out = run(capsys, "rees", "[x^2,y^3]", "--root", "0")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "domain-error"
+
+
 def test_batch_mode(tmp_path, capsys):
     script = tmp_path / "commands.txt"
     script.write_text(

@@ -21,6 +21,7 @@ from weightedres import (
     reembedding_check,
     rounding,
 )
+from weightedres.invariant import _merge_dominated
 from weightedres.lattice import GT
 
 F = Fraction
@@ -48,6 +49,16 @@ def test_delta_empty_is_infinite():
     import math
 
     assert delta(MarkedIdealCollection(("x",), [])) == math.inf
+
+
+def test_merge_keeps_the_heaviest_copy_of_each_ideal_in_place():
+    amb = ("x", "y")
+    A = parse_ideal("x^2, y^3", amb)
+    A_reordered = parse_ideal("y^3, x^2", amb)  # same generator set
+    B = parse_ideal("x*y", amb)
+    entries = [(A, F(1, 2)), (B, F(1)), (A_reordered, F(3, 4)), (A, F(3, 4)), (B, F(1))]
+    assert _merge_dominated(entries) == [(B, F(1)), (A_reordered, F(3, 4))]
+    assert _merge_dominated(entries)[1][0].generators == A_reordered.generators
 
 
 # -- maximal contact -----------------------------------------------------------

@@ -177,6 +177,18 @@ def test_derivative_tower_is_monotone(f, g):
         previous = current
 
 
+@settings(max_examples=40, deadline=None)
+@given(small_polys(), small_polys(), st.integers(min_value=1, max_value=4))
+def test_chained_derivative_steps_match_fresh_steps(f, g, k):
+    # a tower carries state from step to step; a fresh PolyIdeal carries none
+    I = PolyIdeal(VARS, [f, g])
+    chained, fresh = I, I
+    for _ in range(k):
+        chained = chained.derivative_extend()
+        fresh = PolyIdeal(fresh.variables, fresh.generators).derivative_extend()
+        assert chained.generators == fresh.generators
+
+
 def test_derivative_monotonicity_by_membership_for_monomials():
     # monomial towers stay monomial, so membership is divisibility
     I = parse_ideal("x^4, x*y^4")
