@@ -54,14 +54,10 @@ from .lattice import (
     LT,
     LatticeIdeal,
     MultiOrder,
-    complement_count,
     dominating_sequence,
     is_in_mord,
-    lattice_membership,
-    minimal_generators,
     mord_compare,
     split_gt1,
-    split_mord_gt1,
     witness_vectors,
 )
 from .poly import Polynomial, PolyIdeal

@@ -36,8 +36,12 @@ from .errors import (
     ResourceLimitError,
 )
 from .invariant import InvariantResult, multiorder
-from .lattice import LT, MultiOrder, is_in_mord, mord_compare
+from .lattice import LT, LatticeIdeal, MultiOrder, is_in_mord, mord_compare
 from .poly import Polynomial, PolyIdeal, fresh_name
+
+# largest integral leading or trailing coefficient whose divisors the
+# rational-root search enumerates (about 10^6 trial divisions each)
+ROOT_SEARCH_BOUND = 10**12
 
 
 def minimal_root(d: MultiOrder) -> int:
@@ -59,12 +63,12 @@ def rees_generators(
 
     Degree n is the ideal of elements of valuation >= n/N; its monomial
     generators on the center coordinates are the minimal exponent vectors a
-    with N * sum a_k/d_k >= n.  Returns {degree: minimal generators} for all
-    degrees up to N (or just the requested one).
+    with N * sum a_k/d_k >= n, the staircase of the scaled tuple d * n/N
+    (degree 0 is generated by 1).  Returns {degree: minimal generators} for
+    all degrees up to N (or just the requested one).
     """
     if N < 1:
         raise DomainError(f"the root order N must be positive, got {N}")
-    ws = [Fraction(1) / e for e in center.exponents]
     for e in center.exponents:
         if (Fraction(N) / e).denominator != 1:
             raise DomainError(f"N={N} does not clear the exponent {e}")
@@ -73,21 +77,11 @@ def rees_generators(
     for n in degrees:
         if n < 0 or n > N:
             raise DomainError("Rees degrees are requested in the range 0..N")
-        bound_box = [
-            max(1, math.ceil(Fraction(n, N) * e)) for e in center.exponents
-        ]
-        members = [
-            a
-            for a in itertools.product(*(range(b + 1) for b in bound_box))
-            if N * sum(x * w for x, w in zip(a, ws)) >= n
-        ]
-        minimal = [
-            a
-            for a in members
-            if not any(b != a and all(x <= y for x, y in zip(b, a)) for b in members)
-        ]
-        minimal.sort(key=lambda t: tuple(-e for e in t))
-        out[n] = minimal
+        if n == 0:
+            out[n] = [(0,) * len(center.exponents)]
+        else:
+            scaled = MultiOrder([e * Fraction(n, N) for e in center.exponents])
+            out[n] = LatticeIdeal(scaled).minimal_generators()
     return out
 
 
@@ -174,22 +168,15 @@ def controlled_transform(I: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
 def strict_transform(Z: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
     """Pull back and saturate each generator by the exceptional coordinate.
 
-    Generator-wise division is iterated until stable; it is exact for
-    principal and monomial ideals, which is the supported desk-scale class.
+    Each generator is divided once by its largest power of the exceptional
+    coordinate; generator-wise saturation is exact for principal and
+    monomial ideals, which is the supported desk-scale class.
     """
+    s = chart.exceptional
     gens = [chart.transform_poly(g) for g in Z.generators]
-    changed = True
-    while changed:
-        changed = False
-        out = []
-        for g in gens:
-            k = g.min_power_of(chart.exceptional)
-            if k > 0 and not g.is_zero():
-                g = g.divide_by_variable_power(chart.exceptional, k)
-                changed = True
-            out.append(g)
-        gens = out
-    return PolyIdeal(chart.ambient, gens)
+    return PolyIdeal(
+        chart.ambient, [g.divide_by_variable_power(s, g.min_power_of(s)) for g in gens]
+    )
 
 
 def chart_grading_ok(chart: WeightedChart, transform: PolyIdeal) -> bool:
@@ -342,7 +329,11 @@ class PrincipalizationTrace:
 
 
 def _rational_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
-    """Rational roots of a univariate polynomial given as degree -> coeff."""
+    """Rational roots of a univariate polynomial given as degree -> coeff.
+
+    Candidates p/q come from trial division of the integral leading and
+    trailing coefficients, up to ROOT_SEARCH_BOUND.
+    """
     if not coeffs:
         return []
     lcm = 1
@@ -359,6 +350,11 @@ def _rational_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
     leading = abs(ints[max(ints)])
     if trailing == 0:
         return roots
+    if max(trailing, leading) > ROOT_SEARCH_BOUND:
+        raise ResourceLimitError(
+            f"rational-root search needs the divisors of {max(trailing, leading)}, "
+            f"above the bound {ROOT_SEARCH_BOUND}"
+        )
 
     def divisors(n: int) -> list[int]:
         out = []
@@ -389,59 +385,45 @@ def _univariate_profile(g: Polynomial, var: str) -> dict[int, Fraction]:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def _monic_remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a by b, scaled monic; dense coefficient lists, lowest
+    degree first, with a nonzero last entry (the empty list is 0)."""
+    a = list(a)
+    while len(a) >= len(b):
+        q, shift = a[-1] / b[-1], len(a) - len(b)
+        for k, c in enumerate(b):
+            a[shift + k] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    return [c / a[-1] for c in a] if a else []
+
+
 def _has_irrational_singular_fiber_point(fiber: list[Polynomial], var: str) -> bool:
-    """Univariate fiber: a repeated non-rational factor marks a singular
-    continuation point that cannot be represented over the rationals."""
+    """Univariate fiber p: a repeated non-rational factor marks a singular
+    continuation point that cannot be represented over the rationals.
+
+    The repeated factors of p make up g = gcd(p, p'); the point is irrational
+    exactly when g keeps positive degree once its rational roots are divided
+    out.
+    """
+    if len(fiber) != 1:
+        return False
     try:
         prof = _univariate_profile(fiber[0], var)
     except ValueError:
         return False
-    if len(fiber) != 1 or not prof:
-        return False
-    coeffs = dict(prof)
-    roots = _rational_roots(coeffs)
-    # deflate rational roots and the origin factor completely
-    var_poly = Polynomial.variable(var, fiber[0].variables)
-    g = fiber[0]
-    for r in roots:
-        factor = var_poly - Polynomial.constant(r, g.variables)
-        while True:
-            q = g.divide_exact(factor)
-            if q is None:
-                break
-            g = q
-    if g.total_degree() < 2:
-        return False
-    gp = g.derivative(var)
-    # repeated factor <=> nonconstant gcd with the derivative; test by
-    # checking whether g divides gp^deg(g) after clearing (desk heuristic:
-    # use resultant-free square-freeness via exact division attempts)
-    prof_g = _univariate_profile(g, var)
-    prof_gp = _univariate_profile(gp, var)
-    disc_free = _univariate_gcd_degree(prof_g, prof_gp) == 0
-    return not disc_free
-
-
-def _univariate_gcd_degree(a: dict[int, Fraction], b: dict[int, Fraction]) -> int:
-    def norm(p: dict[int, Fraction]) -> dict[int, Fraction]:
-        return {k: v for k, v in p.items() if v != 0}
-
-    a, b = norm(a), norm(b)
+    p = [prof.get(k, Fraction(0)) for k in range(max(prof) + 1)]
+    g, b = p, [k * c for k, c in enumerate(p)][1:]
     while b:
-        da, db = max(a), max(b)
-        if da < db:
-            a, b = b, a
-            continue
-        lead = a[da] / b[db]
-        for k, v in list(b.items()):
-            a[k + da - db] = a.get(k + da - db, Fraction(0)) - lead * v
-        a = norm(a)
-        if not a:
-            a, b = b, {}
-            break
-        if max(a) < db:
-            a, b = b, a
-    return max(a) if a else 0
+        g, b = b, _monic_remainder(g, b)
+    for r in _rational_roots({k: c for k, c in enumerate(g) if c}):
+        while len(g) > 1:
+            # synthetic division by (var - r); the last value is g(r)
+            values = list(itertools.accumulate(reversed(g), lambda acc, c: acc * r + c))
+            if values[-1] != 0:
+                break
+            g = values[-2::-1]
+    return len(g) > 1
 
 
 def _coefficients_in(g: Polynomial, v: str) -> dict[int, Polynomial]:

@@ -28,8 +28,8 @@ from .errors import (
     DomainError,
     InvalidMultiOrderError,
 )
-from .lattice import LatticeIdeal, MultiOrder
-from .poly import INFINITY, Exponent, Polynomial, PolyIdeal
+from .lattice import LatticeIdeal, MultiOrder, witness_vectors
+from .poly import INFINITY, Exponent, Polynomial, PolyIdeal, power_product
 
 
 @dataclass(frozen=True)
@@ -76,9 +76,6 @@ class CoordinateChange:
     @classmethod
     def identity(cls, variables: Iterable[str]) -> "CoordinateChange":
         return cls(variables)
-
-    def is_identity(self) -> bool:
-        return not self.steps
 
     def then(self, step: AlignStep) -> "CoordinateChange":
         return CoordinateChange(self.variables, self.steps + (step,))
@@ -261,13 +258,9 @@ def rounding(center: CenterPresentation) -> PolyIdeal:
         gens.append(coord_polys[v])
     t_vars = center.t_coords()
     if t_vars:
-        lattice = LatticeIdeal(center.t_exponents())
-        for a in lattice.minimal_generators():
-            g = Polynomial.constant(1, amb)
-            for v, e in zip(t_vars, a):
-                if e:
-                    g = g * coord_polys[v] ** e
-            gens.append(g)
+        t_polys = [coord_polys[v] for v in t_vars]
+        for a in LatticeIdeal(center.t_exponents()).minimal_generators():
+            gens.append(power_product(t_polys, a, amb))
     return PolyIdeal(amb, gens)
 
 
@@ -291,14 +284,8 @@ class LeadingTerm:
     rows: tuple[tuple[tuple[Exponent, object], ...], ...] = ()
 
     def basis_monomials(self, ambient: tuple[str, ...]) -> list[Polynomial]:
-        out = []
-        for exp in self.basis:
-            g = Polynomial.constant(1, ambient)
-            for v, e in zip(self.coords, exp):
-                if e:
-                    g = g * Polynomial.variable(v, ambient) ** e
-            out.append(g)
-        return out
+        coords = [Polynomial.variable(v, ambient) for v in self.coords]
+        return [power_product(coords, exp, ambient) for exp in self.basis]
 
     def monomials_involved(self) -> set[Exponent]:
         """Basis exponents hit by some nonzero coefficient of some row."""
@@ -310,26 +297,10 @@ class LeadingTerm:
 
 
 def leading_term_basis(center: CenterPresentation) -> LeadingTerm:
-    """All center-coordinate exponents of weighted value exactly 1."""
-    ws = [center.weight_of(v) for v in center.coords]
-    sols: list[Exponent] = []
-
-    def rec(j: int, remaining: Fraction, prefix: tuple[int, ...]):
-        if j == len(ws) - 1:
-            if remaining == 0:
-                sols.append(prefix + (0,))
-                return
-            q = remaining / ws[j]
-            if q.denominator == 1 and q > 0:
-                sols.append(prefix + (int(q),))
-            return
-        a = 0
-        while a * ws[j] <= remaining:
-            rec(j + 1, remaining - a * ws[j], prefix + (a,))
-            a += 1
-
-    if ws:
-        rec(0, Fraction(1), ())
+    """All center-coordinate exponents of weighted value exactly 1: the
+    witness vectors of the full exponent tuple."""
+    m = len(center.coords)
+    sols = [a for a, _ in witness_vectors(center.exponents, m)] if m else []
     sols.sort(key=lambda t: tuple(-e for e in t))
     return LeadingTerm(center.coords, tuple(sols))
 

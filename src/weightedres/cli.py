@@ -2,10 +2,13 @@
 
 One verb per pipeline; every verb emits JSON by default (rationals as
 strings), `--format text` gives a short human rendering, and `staircase`
-additionally supports `--format svg`.  Exit codes: 0 success, 1 domain
-errors (inadmissible input, non-integral center, irrational point, ...),
-2 parse or resource errors.  `batch FILE` runs one command per line,
-ignoring blank lines and `#` comments.
+additionally supports `--format svg`.  Exit codes: 0 success (a driver that
+stops early, at an irrational point say, reports it in its `status`), 1
+domain errors (inadmissible input, non-integral center, ...), 2 parse or
+resource errors.  `batch FILE` runs one command per line, ignoring blank
+lines and `#` comments: every line prints one JSON document, lines run
+under the outer degree cap, a `batch` line is a parse error, and the exit
+code is the largest over the lines.
 """
 
 from __future__ import annotations
@@ -22,14 +25,32 @@ from .errors import DomainError, ParseError, ResourceLimitError, WeightedResErro
 from .tubes import constant_tube, tube_center_correspondence
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _LineParser(argparse.ArgumentParser):
+    """Parser for batch lines: a bad line or a help request is a
+    ParseError, not an exit."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+    def print_help(self, file=None):
+        raise ParseError("a batch line cannot ask for help")
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = cls(
         prog="weightedres",
         description="Exact multiorder invariants, weighted centers and blowups.",
     )
     parser.add_argument(
         "--degree-cap",
-        type=int,
+        type=_positive_int,
         default=None,
         help="total-degree guard for polynomial expansions",
     )
@@ -183,29 +204,7 @@ def _error_payload(err: WeightedResError) -> str:
     return json.dumps({"error": {"code": err.code, "message": str(err)}})
 
 
-def main(argv: list[str] | None = None) -> int:
-    errors.set_degree_cap(errors.degree_cap_from_env())
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.degree_cap is not None:
-        errors.set_degree_cap(args.degree_cap)
-
-    if args.verb == "batch":
-        status = 0
-        try:
-            with open(args.file, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as err:
-            print(json.dumps({"error": {"code": "parse-error", "message": str(err)}}))
-            return 2
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            code = main(shlex.split(line))
-            status = max(status, code)
-        return status
-
+def _run(args) -> int:
     try:
         out = _run_verb(args)
         if out:
@@ -217,6 +216,53 @@ def main(argv: list[str] | None = None) -> int:
     except DomainError as err:
         print(_error_payload(err))
         return 1
+
+
+def _run_line(parser: argparse.ArgumentParser, line: str) -> int:
+    """One batch line under the outer degree cap (a line's own
+    `--degree-cap` holds for that line only)."""
+    try:
+        try:
+            argv = shlex.split(line)
+        except ValueError as err:  # unbalanced quotes
+            raise ParseError(f"cannot split the batch line: {err}") from None
+        args = parser.parse_args(argv)
+        if args.verb == "batch":
+            raise ParseError("a batch line cannot run batch")
+    except ParseError as err:
+        print(_error_payload(err))
+        return 2
+    outer = errors.degree_cap()
+    if args.degree_cap is not None:
+        errors.set_degree_cap(args.degree_cap)
+    try:
+        return _run(args)
+    finally:
+        errors.set_degree_cap(outer)
+
+
+def main(argv: list[str] | None = None) -> int:
+    errors.set_degree_cap(errors.degree_cap_from_env())
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.degree_cap is not None:
+        errors.set_degree_cap(args.degree_cap)
+
+    if args.verb == "batch":
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as err:
+            print(json.dumps({"error": {"code": "parse-error", "message": str(err)}}))
+            return 2
+        line_parser = _build_parser(_LineParser)
+        status = 0
+        for line in lines:
+            line = line.strip()
+            if line and not line.startswith("#"):
+                status = max(status, _run_line(line_parser, line))
+        return status
+    return _run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

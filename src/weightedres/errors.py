@@ -60,12 +60,6 @@ class ContactAlignmentError(DomainError):
     code = "contact-alignment"
 
 
-class IrrationalPointError(DomainError):
-    """A continuation point of a blowup driver has no rational representative."""
-
-    code = "irrational-point"
-
-
 class NotATubeError(DomainError):
     code = "not-a-tube"
 

@@ -108,13 +108,6 @@ def mord_compare(a: MultiOrder, b: MultiOrder) -> int:
     return GT if len(a) < len(b) else LT
 
 
-def mord_key(d: MultiOrder):
-    """Sort key compatible with mord_compare (via functools.cmp_to_key)."""
-    import functools
-
-    return functools.cmp_to_key(mord_compare)(d)
-
-
 def _validate_weights(d: MultiOrder) -> tuple[Fraction, ...]:
     if d.is_zero():
         raise InvalidMultiOrderError("the zero invariant has no lattice data")
@@ -129,17 +122,14 @@ def witness_vectors(d: MultiOrder, i: int) -> list[tuple[tuple[int, ...], bool]]
     if not 1 <= i <= len(d):
         raise InvalidMultiOrderError(f"witness index {i} out of range 1..{len(d)}")
     ws = _validate_weights(d)[:i]
-    out: list[tuple[tuple[int, ...], bool]] = []
+    out: list[tuple[int, ...]] = []
 
     def rec(j: int, remaining: Fraction, prefix: tuple[int, ...]):
         if j == i - 1:
             # last coordinate: a_j * w_j must equal remaining exactly
-            if remaining == 0:
-                out.append((prefix + (0,), False))
-                return
             q = remaining / ws[j]
-            if q.denominator == 1 and q >= 0:
-                out.append((prefix + (int(q),), True))
+            if q.denominator == 1:
+                out.append(prefix + (int(q),))
             return
         a = 0
         while a * ws[j] <= remaining:
@@ -147,18 +137,22 @@ def witness_vectors(d: MultiOrder, i: int) -> list[tuple[tuple[int, ...], bool]]
             a += 1
 
     rec(0, Fraction(1), ())
-    # fix the flag: a_i != 0 exactly when the final entry is nonzero
-    return [(vec, vec[-1] != 0) for vec, _ in out]
+    return [(vec, vec[-1] != 0) for vec in out]
+
+
+def _first_violation(d: MultiOrder) -> int | None:
+    """The first prefix length i with no witness having a_i != 0, if any."""
+    for i in range(1, len(d) + 1):
+        if not any(flag for _, flag in witness_vectors(d, i)):
+            return i
+    return None
 
 
 def is_in_mord(d: MultiOrder) -> bool:
     """Every prefix admits a witness with nonzero last coordinate."""
     if d.is_zero():
         raise InvalidMultiOrderError("the zero invariant is not tested for membership")
-    for i in range(1, len(d) + 1):
-        if not any(flag for _, flag in witness_vectors(d, i)):
-            return False
-    return True
+    return _first_violation(d) is None
 
 
 def split_gt1(d: MultiOrder) -> tuple[int, MultiOrder]:
@@ -176,9 +170,6 @@ def split_gt1(d: MultiOrder) -> tuple[int, MultiOrder]:
         else:
             break
     return ones, MultiOrder(d.entries[ones:])
-
-
-split_mord_gt1 = split_gt1
 
 
 class LatticeIdeal:
@@ -205,21 +196,18 @@ class LatticeIdeal:
     def contains(self, a: Sequence[int]) -> bool:
         return self.value(a) >= 1
 
-    def minimal_generators(self) -> list[tuple[int, ...]]:
-        """The finite antichain of minimal members.
+    def _box(self):
+        """Exponents with a_j <= ceil(d_j).  The box holds every minimal
+        member (a larger single entry already certifies membership) and every
+        non-member (each entry of a non-member is < d_j)."""
+        return itertools.product(*(range(math.ceil(e) + 1) for e in self.d.entries))
 
-        Minimal members have a_j <= ceil(d_j): a larger single entry already
-        certifies membership, so the box search is complete.
-        """
+    def minimal_generators(self) -> list[tuple[int, ...]]:
+        """The finite antichain of minimal members, found in the box."""
         cached = object.__getattribute__(self, "_minimal")
         if cached is not None:
             return list(cached)
-        bounds = [math.ceil(e) for e in self.d.entries]
-        members = [
-            a
-            for a in itertools.product(*(range(b + 1) for b in bounds))
-            if self.contains(a)
-        ]
+        members = [a for a in self._box() if self.contains(a)]
         minimal = [
             a
             for a in members
@@ -232,13 +220,8 @@ class LatticeIdeal:
         return minimal
 
     def complement(self) -> list[tuple[int, ...]]:
-        """All of N^n \\ I_d (finite: every entry of a non-member is < d_j)."""
-        bounds = [math.ceil(e) for e in self.d.entries]
-        return [
-            a
-            for a in itertools.product(*(range(b + 1) for b in bounds))
-            if not self.contains(a)
-        ]
+        """All of N^n \\ I_d, found in the box."""
+        return [a for a in self._box() if not self.contains(a)]
 
     def complement_count(self) -> int:
         return len(self.complement())
@@ -249,18 +232,6 @@ class LatticeIdeal:
         for a in self.complement():
             counts[sum(a)] = counts.get(sum(a), 0) + 1
         return counts
-
-
-def lattice_membership(I: LatticeIdeal, a: Sequence[int]) -> bool:
-    return I.contains(a)
-
-
-def minimal_generators(I: LatticeIdeal) -> list[tuple[int, ...]]:
-    return I.minimal_generators()
-
-
-def complement_count(I: LatticeIdeal) -> int:
-    return I.complement_count()
 
 
 def dominating_sequence(d: MultiOrder) -> MultiOrder | None:
@@ -276,14 +247,9 @@ def dominating_sequence(d: MultiOrder) -> MultiOrder | None:
     """
     if d.is_zero():
         raise InvalidMultiOrderError("the zero invariant has no dominating sequence")
-    if is_in_mord(d):
+    violating = _first_violation(d)
+    if violating is None:
         return None
-    violating = None
-    for i in range(1, len(d) + 1):
-        if not any(flag for _, flag in witness_vectors(d, i)):
-            violating = i
-            break
-    assert violating is not None
     # move to the last index with the same entry
     val = d.entries[violating - 1]
     i = max(j + 1 for j, e in enumerate(d.entries) if e == val)

@@ -366,13 +366,6 @@ class Polynomial:
             terms[tuple(e)] = c
         return Polynomial(self.variables, terms)
 
-    def rename_ambient(self, variables: Iterable[str]) -> "Polynomial":
-        """Reinterpret the same exponent data over new variable names."""
-        vs = tuple(variables)
-        if len(vs) != len(self.variables):
-            raise AmbientMismatchError("renaming must preserve arity")
-        return Polynomial(vs, dict(self.terms))
-
     def extend_ambient(self, variables: Iterable[str]) -> "Polynomial":
         """View the polynomial inside a larger ambient (superset of names)."""
         vs = tuple(variables)
@@ -420,6 +413,21 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def power_product(
+    bases: Iterable[Polynomial], exponents: Iterable[int], variables: Iterable[str]
+) -> Polynomial:
+    """prod b^e over paired bases and exponents, as a polynomial in `variables`.
+
+    Multiplies left to right through `*` and `**`, skipping zero exponents, so
+    the degree cap raises at the first partial product that exceeds it.
+    """
+    out = Polynomial.constant(1, variables)
+    for base, e in zip(bases, exponents):
+        if e:
+            out = out * base**e
+    return out
 
 
 def _monic(g: Polynomial) -> Polynomial:

@@ -218,10 +218,6 @@ def parse_multiorder(text: str) -> MultiOrder:
     return MultiOrder(parse_rational(e) for e in entries)
 
 
-def format_multiorder(d: MultiOrder) -> str:
-    return str(d)
-
-
 def _center_entry(tokens) -> tuple[Polynomial | str, Fraction]:
     """One center entry: base [^ exponent]; plain variables stay strings."""
     split = None

@@ -31,7 +31,7 @@ from .centers import (
 )
 from .errors import AdmissibilityError, CertificateError
 from .lattice import is_in_mord
-from .poly import Polynomial, PolyIdeal
+from .poly import Polynomial, PolyIdeal, power_product
 
 COMBINATION_BOUND = 5
 SHEAR_SEQUENCE = (1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)
@@ -220,14 +220,10 @@ def make_tschirnhaus(
         ]
         if tails:
             amb = current.ambient
+            later = [Polynomial.variable(v, amb) for v in current.coords[i:]]
             delta_poly = Polynomial.zero(amb)
             for other, coeff in tails:
-                mono = Polynomial.constant(1, amb)
-                for j in range(i, n):
-                    if other[j]:
-                        mono = mono * Polynomial.variable(
-                            current.coords[j], amb
-                        ) ** other[j]
+                mono = power_product(later, other[i:], amb)
                 delta_poly = delta_poly + coeff.extend_ambient(amb) * mono
             delta_poly = delta_poly.scale(Fraction(1, e))
             step = AlignStep(current.coords[i - 1], Fraction(1), delta_poly)

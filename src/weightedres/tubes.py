@@ -41,7 +41,7 @@ from .errors import (
     UnrepresentableError,
 )
 from .lattice import LatticeIdeal, MultiOrder, is_in_mord, mord_compare, split_gt1
-from .poly import Exponent, Polynomial, PolyIdeal
+from .poly import Exponent, Polynomial, PolyIdeal, power_product
 
 
 def _dominates(a: Exponent, b: Exponent) -> bool:
@@ -131,65 +131,55 @@ def constant_tube(
 # -- exact linear algebra helpers ---------------------------------------------
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
+def _row_reduce(rows: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss-Jordan elimination: the nonzero rows of the reduced row
+    echelon form, each with pivot 1 and zeros above and below it."""
     m = [list(r) for r in rows]
     rank = 0
     cols = len(m[0]) if m else 0
     for c in range(cols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][c] != 0:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         pv = m[rank][c]
+        m[rank] = [a / pv for a in m[rank]]
         for r in range(len(m)):
             if r != rank and m[r][c] != 0:
-                factor = m[r][c] / pv
+                factor = m[r][c]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
         rank += 1
         if rank == len(m):
             break
-    return rank
+    return m[:rank]
 
 
-def _det(matrix: list[list[Fraction]]) -> Fraction:
-    n = len(matrix)
-    m = [list(r) for r in matrix]
-    det = Fraction(1)
-    for c in range(n):
-        pivot = None
-        for r in range(c, n):
-            if m[r][c] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            factor = m[r][c] / m[c][c]
-            m[r] = [a - factor * b for a, b in zip(m[r], m[c])]
-    return det
+def _rank(rows: list[list[Fraction]]) -> int:
+    return len(_row_reduce(rows))
 
 
 def _poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
     n = len(matrix)
-    if n == 0:
-        raise DomainError("empty matrix")
     if n == 1:
         return matrix[0][0]
     amb = matrix[0][0].variables
     total = Polynomial.zero(amb)
     for j in range(n):
+        if matrix[0][j].is_zero():
+            continue
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
         term = matrix[0][j] * _poly_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def _invertible_over_base(matrix: list[list[Polynomial]]) -> bool:
+    """The determinant is a nonzero constant, hence a unit of the base (the
+    empty matrix, of a tube without parameters, has determinant 1)."""
+    if not matrix:
+        return True
+    det = _poly_det(matrix)
+    return not det.is_zero() and det.is_constant()
 
 
 # -- split-tube verification ---------------------------------------------------
@@ -222,9 +212,7 @@ def _linear_param_matrix(A: TubeAlgebra, cands: list[Polynomial]) -> list[list[P
         for j in param_idx:
             terms = {}
             for exp, c in cand.terms.items():
-                if exp[j] == 1 and all(
-                    exp[k] == 0 for k in param_idx if k != j
-                ) and sum(exp[k] for k in param_idx) == 1:
+                if exp[j] == 1 and all(exp[k] == 0 for k in param_idx if k != j):
                     base_exp = tuple(
                         e if i in base_idx else 0 for i, e in enumerate(exp)
                     )
@@ -232,26 +220,6 @@ def _linear_param_matrix(A: TubeAlgebra, cands: list[Polynomial]) -> list[list[P
             row.append(Polynomial(amb, terms))
         matrix.append(row)
     return matrix
-
-
-def _param_value(A: TubeAlgebra, exp: Exponent, width: MultiOrder) -> Fraction:
-    return sum(
-        (Fraction(e) / d for e, d in zip(exp, width.entries)), Fraction(0)
-    )
-
-
-def filtration_level(A: TubeAlgebra, f: Polynomial, width: MultiOrder) -> Fraction:
-    """Largest r with f in F_r: the minimum weighted parameter value over
-    the terms of the normal form (pure base terms sit at level 0)."""
-    g = A.reduce(f)
-    amb = A.ambient()
-    idx = [amb.index(p) for p in A.params]
-    best = None
-    for exp, _ in g.terms.items():
-        v = _param_value(A, tuple(exp[i] for i in idx), width)
-        if best is None or v < best:
-            best = v
-    return best if best is not None else Fraction(0)
 
 
 def verify_split_tube(
@@ -269,30 +237,19 @@ def verify_split_tube(
 
     # (0): the candidates cut out the base: no pure-base terms, and the
     # parameter-linear parts form an invertible matrix over the base
-    param_idx = [amb.index(p) for p in A.params]
+    idx = [amb.index(p) for p in A.params]
     for cand in cands:
         for exp in cand.terms:
-            if all(exp[k] == 0 for k in param_idx):
+            if all(exp[k] == 0 for k in idx):
                 return False
-    matrix = _linear_param_matrix(A, cands)
-    if all(entry.is_constant() for row in matrix for entry in row):
-        det = _det([[e.constant_term() for e in row] for row in matrix])
-        if det == 0:
-            return False
-    else:
-        det = _poly_det(matrix)
-        if det.is_zero() or not det.is_constant():
-            return False
+    if not _invertible_over_base(_linear_param_matrix(A, cands)):
+        return False
 
     # (1): the staircase monomials in the candidates vanish
     lattice = LatticeIdeal(width) if len(width) else None
     if lattice is not None:
         for a in lattice.minimal_generators():
-            mono = Polynomial.constant(1, amb)
-            for cand, e in zip(cands, a):
-                if e:
-                    mono = mono * cand**e
-            if not A.reduce(mono).is_zero():
+            if not A.reduce(power_product(cands, a, amb)).is_zero():
                 return False
 
     # (2): the complement monomials in the candidates form a base-module
@@ -303,15 +260,10 @@ def verify_split_tube(
     if len(complement) != len(basis):
         return False
     basis_pos = {b: k for k, b in enumerate(basis)}
-    idx = [amb.index(p) for p in A.params]
     base_idx = [amb.index(v) for v in A.base_vars]
     rows: list[list[Fraction]] = []
     for a in sorted(complement, key=lambda t: (sum(t), tuple(-e for e in t))):
-        mono = Polynomial.constant(1, amb)
-        for cand, e in zip(cands, a):
-            if e:
-                mono = mono * cand**e
-        mono = A.reduce(mono)
+        mono = A.reduce(power_product(cands, a, amb))
         row = [Fraction(0)] * len(basis)
         for exp, c in mono.terms.items():
             if any(exp[i] != 0 for i in base_idx):
@@ -337,21 +289,12 @@ def width(A: TubeAlgebra) -> MultiOrder:
         return MultiOrder(())
     rels = set(A.relations)
     for subset in itertools.combinations(sorted(rels), n):
-        matrix = [[Fraction(e) for e in a] for a in subset]
-        if _det(matrix) == 0:
+        # solve a . w = 1 for each row; a pivot off the diagonal of the
+        # reduced system means the subset's matrix is singular
+        solved = _row_reduce([[Fraction(e) for e in a] + [Fraction(1)] for a in subset])
+        if len(solved) < n or any(row[i] != 1 for i, row in enumerate(solved)):
             continue
-        # solve a . w = 1 for each row by Gaussian elimination
-        m = [row + [Fraction(1)] for row in matrix]
-        for c in range(n):
-            pivot = next(r for r in range(c, n) if m[r][c] != 0)
-            m[c], m[pivot] = m[pivot], m[c]
-            pv = m[c][c]
-            m[c] = [x / pv for x in m[c]]
-            for r in range(n):
-                if r != c and m[r][c] != 0:
-                    f = m[r][c]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-        w = [m[r][n] for r in range(n)]
+        w = [row[n] for row in solved]
         if any(x <= 0 for x in w):
             continue
         if any(w[i] < w[i + 1] for i in range(n - 1)):
@@ -374,25 +317,18 @@ def parameter_check(
     if len(candidate) != len(A.params):
         return False
     cands = _candidate_param_polys(A, candidate)
-    matrix = _linear_param_matrix(A, cands)
-    if all(entry.is_constant() for row in matrix for entry in row):
-        if _det([[e.constant_term() for e in row] for row in matrix]) == 0:
-            return False
-    else:
-        det = _poly_det(matrix)
-        if det.is_zero() or not det.is_constant():
-            return False
+    if not _invertible_over_base(_linear_param_matrix(A, cands)):
+        return False
     amb = A.ambient()
     idx = [amb.index(p) for p in A.params]
+    lattice = LatticeIdeal(d)
     for i, cand in enumerate(cands):
         level = Fraction(1) / d.entries[i]
         g = A.reduce(cand)
         if g.is_zero():
             return False
-        for exp in g.terms:
-            v = _param_value(A, tuple(exp[k] for k in idx), d)
-            if v < level:
-                return False
+        if any(lattice.value([exp[k] for k in idx]) < level for exp in g.terms):
+            return False
     return True
 
 
@@ -486,14 +422,10 @@ def tight_presentation_check(
     tube_gens = list(s_part)
     if len(t_part) != len(d):
         raise DomainError("t-part length must match the width")
-    lattice = LatticeIdeal(d) if len(d) else None
-    if lattice is not None:
-        for a in lattice.minimal_generators():
-            g = Polynomial.constant(1, ambient)
-            for v, e in zip(t_part, a):
-                if e:
-                    g = g * Polynomial.variable(v, ambient) ** e
-            tube_gens.append(g)
+    if len(d):
+        t_polys = [Polynomial.variable(v, ambient) for v in t_part]
+        for a in LatticeIdeal(d).minimal_generators():
+            tube_gens.append(power_product(t_polys, a, ambient))
     e_V = n - _linear_rank(tube_gens, ambient)
     gap = e_Z - e_V
     return TightVerdict(
@@ -513,16 +445,7 @@ def tubular_rees_piece(A: TubeAlgebra, N: int, n: int) -> list[Exponent]:
     Degree n is generated by the monomials t^a with N * sum a_j/d_j >= n,
     the restriction of the corresponding center's root Rees algebra.
     """
-    d = A.width if A.width is not None else width(A)
-    if N < 1:
-        raise DomainError("the root order must be positive")
-    for e in d.entries:
-        if (Fraction(N) / e).denominator != 1:
-            raise DomainError(f"N={N} does not clear the width entry {e}")
-    if n < 0 or n > N:
-        raise DomainError("tubular Rees degrees are requested in the range 0..N")
-    center = center_from_tube(A)
-    return rees_generators(center, N, n)[n]
+    return rees_generators(center_from_tube(A), N, n)[n]
 
 
 def _reduce_mod(f: Polynomial, Z: PolyIdeal) -> Polynomial:
@@ -578,33 +501,22 @@ def rees_restriction_check(
     if center.s_count() > 0:
         raise UnrepresentableError("restriction check expects a tight center")
     A = tube if tube is not None else tube_center_correspondence(center)
-    coord_polys = dict(zip(center.coords, center.coordinate_polynomials()))
     ambient = center.ambient
+    coord_polys = center.coordinate_polynomials()
+    param_polys = [Polynomial.variable(v, ambient) for v in A.params]
+
+    def images(polys: list[Polynomial], exponents: list[Exponent]) -> set[Polynomial]:
+        reduced = (_reduce_mod(power_product(polys, a, ambient), Z_ideal) for a in exponents)
+        return {r for r in reduced if not r.is_zero()}
+
     grading = rees_generators(center, N)
     for n in range(N + 1):
-        left = set()
-        for a in grading[n]:
-            g = Polynomial.constant(1, ambient)
-            for v, e in zip(center.coords, a):
-                if e:
-                    g = g * coord_polys[v] ** e
-            r = _reduce_mod(g, Z_ideal)
-            if not r.is_zero():
-                left.add(r)
-        right = set()
+        left = images(coord_polys, grading[n])
         try:
             right_exponents = tubular_rees_piece(A, N, n)
         except DomainError:
             return False  # the tube's width does not even admit this root order
-        for a in right_exponents:
-            g = Polynomial.constant(1, ambient)
-            for v, e in zip(A.params, a):
-                if e:
-                    g = g * Polynomial.variable(v, ambient) ** e
-            r = _reduce_mod(g, Z_ideal)
-            if not r.is_zero():
-                right.add(r)
-        if left != right:
+        if left != images(param_polys, right_exponents):
             return False
     return True
 

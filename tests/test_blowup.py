@@ -245,6 +245,34 @@ def test_bivariate_fiber_points_include_non_axis_zeros():
     assert not irrational
 
 
+def test_irrational_singular_fiber_point_needs_a_repeated_irrational_factor():
+    from weightedres.blowup import _has_irrational_singular_fiber_point
+
+    cases = {
+        "(u^2 - 2)^2*(u - 1)": True,
+        "u^3*(u^2 + 1)^3*(3*u + 2)^2": True,
+        "(u^3 - 5)^2": True,
+        "(u^2 - 2)*(u - 1)^3*u^2": False,  # only the rational roots repeat
+        "(u^2 - 3)*(u^2 + 1)": False,  # irrational but simple
+        "(2*u - 1)^4*(u + 5)^2": False,
+    }
+    for text, expected in cases.items():
+        fiber = [parse_polynomial(text, ("s", "u"))]
+        assert _has_irrational_singular_fiber_point(fiber, "u") is expected, text
+
+
+def test_rational_root_search_refuses_huge_coefficients():
+    from weightedres.blowup import ROOT_SEARCH_BOUND, _rational_roots
+    from weightedres.errors import ResourceLimitError
+
+    assert _rational_roots({0: F(-ROOT_SEARCH_BOUND), 2: F(1)}) == [
+        F(-(10**6)),
+        F(10**6),
+    ]
+    with pytest.raises(ResourceLimitError):
+        _rational_roots({0: F(-(ROOT_SEARCH_BOUND + 1)), 3: F(1)})
+
+
 def test_divisor_fallback_for_unalignable_regular_points():
     # the invariant refuses to align x + x^2 + y^3, but the driver still
     # principalizes it: the ideal is the divisor itself, divided out exactly

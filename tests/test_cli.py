@@ -212,3 +212,60 @@ def test_trace_json_replays_the_drop_verdict():
             for pt in chart["tracked_points"]:
                 after = MultiOrder([Fraction(e) for e in pt["mord_after"]])
                 assert mord_compare(after, before) == LT
+
+
+# -- batch files -------------------------------------------------------------------
+
+
+def run_batch(tmp_path, capsys, text, *outer):
+    """Run a batch file; returns the exit code and the printed lines."""
+    script = tmp_path / "commands.txt"
+    script.write_text(text.replace("SELF", str(script)))
+    code, out = run(capsys, *outer, "batch", str(script))
+    return code, out.splitlines()
+
+
+def test_batch_lines_inherit_the_outer_degree_cap(tmp_path, capsys):
+    from weightedres.errors import DEFAULT_DEGREE_CAP, set_degree_cap
+
+    try:
+        code, lines = run_batch(
+            tmp_path, capsys, 'mord "x^40*y + y^41"\n', "--degree-cap", "5"
+        )
+    finally:
+        set_degree_cap(DEFAULT_DEGREE_CAP)
+    assert code == 2
+    assert json.loads(lines[0])["error"]["code"] == "resource-cap"
+
+
+def test_batch_file_naming_itself_is_a_parse_error(tmp_path, capsys):
+    code, lines = run_batch(tmp_path, capsys, 'batch "SELF"\nmord x^2 --format text\n')
+    assert code == 2
+    assert json.loads(lines[0])["error"]["code"] == "parse-error"
+    assert lines[1:] == ["(2)"]
+
+
+def test_batch_unknown_verb_does_not_stop_the_run(tmp_path, capsys):
+    bad = ['frobnicate "x"', "mord -h", "--degree-cap 0 mord x"]
+    text = "\n".join(bad + ['round "[x^2]" --format text']) + "\n"
+    code, lines = run_batch(tmp_path, capsys, text)
+    assert code == 2
+    assert [json.loads(line)["error"]["code"] for line in lines[:3]] == ["parse-error"] * 3
+    assert lines[3:] == ["(x^2)"]
+
+
+def test_batch_unbalanced_quote_is_a_parse_error(tmp_path, capsys):
+    code, lines = run_batch(tmp_path, capsys, 'mord "x^2\nmord x^3 --format text\n')
+    assert code == 2
+    assert json.loads(lines[0])["error"]["code"] == "parse-error"
+    assert lines[1:] == ["(3)"]
+
+
+def test_huge_constant_is_refused_by_the_root_search_bound(capsys):
+    import time
+
+    start = time.perf_counter()
+    code, out = run(capsys, "principalize", "x^3 - 100000000000000000039*y^3")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "resource-cap"

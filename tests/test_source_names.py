@@ -1,14 +1,20 @@
-"""Every global name the package reads is bound at module level or built in.
+"""Every global name the package reads is bound, and every name it defines is used.
 
 A stdlib stand-in for a linter's undefined-name check: a name read only on
 an error path (an `except` clause, say) otherwise surfaces as a NameError
-in the one run that takes that path.
+in the one run that takes that path.  The converse check flags functions,
+classes and methods that no code, test or benchmark mentions: dead code
+that would otherwise be kept, exported and maintained for nothing.
 """
 
 from __future__ import annotations
 
+import ast
 import builtins
+import importlib
+import re
 import symtable
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "weightedres"
@@ -45,3 +51,71 @@ def test_package_has_no_undefined_global_names():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+# -- dead definitions ------------------------------------------------------------
+
+ROOT = SRC.parents[1]
+SEARCHED = ("src", "tests", "perfbench")
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def definitions(source: str) -> list[str]:
+    """Module-level functions and classes, and non-dunder methods."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [
+                item.name
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            ]
+    return names
+
+
+def unreferenced(defined: dict[str, list[str]], texts: dict[str, str], init: str) -> list[str]:
+    """Names defined (one entry per definition, keyed by module) that no word
+    of the searched texts mentions beyond the definitions themselves; the
+    package `__init__` re-exports are not counted as uses."""
+    counts: Counter[str] = Counter()
+    for path, text in texts.items():
+        if path != init:
+            counts.update(WORD.findall(text))
+    sites = Counter(name for names in defined.values() for name in names)
+    return sorted({name for name in sites if counts[name] <= sites[name]})
+
+
+def library_hooks() -> set[str]:
+    """Methods overriding a method of a base class from outside the package,
+    which that base calls itself (argparse calls a parser's `error`, say)."""
+    hooks: set[str] = set()
+    for path in SRC.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"weightedres.{path.stem}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                for base in cls.__mro__[1:]:
+                    if not base.__module__.startswith("weightedres"):
+                        hooks |= set(vars(cls)) & set(vars(base))
+    return hooks
+
+
+def test_dead_definition_check_flags_an_unused_helper():
+    module = "def used():\n    pass\n\ndef unused():\n    return used()\n"
+    texts = {"m.py": module, "__init__.py": "from .m import unused\n"}
+    assert unreferenced({"m.py": definitions(module)}, texts, "__init__.py") == ["unused"]
+
+
+def test_every_definition_is_referenced():
+    texts = {
+        str(path): path.read_text(encoding="utf-8")
+        for top in SEARCHED
+        for path in sorted((ROOT / top).rglob("*.py"))
+    }
+    defined = {str(path): definitions(texts[str(path)]) for path in sorted(SRC.glob("*.py"))}
+    dead = set(unreferenced(defined, texts, str(SRC / "__init__.py"))) - library_hooks()
+    assert sorted(dead) == []
