@@ -9,6 +9,7 @@ algebras.  Everything is pure and deterministic.
 """
 
 from .blowup import (
+    DriverStatus,
     PrincipalizationTrace,
     WeightedChart,
     build_charts,

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 from .centers import CenterPresentation, is_admissible
 from .errors import (
@@ -318,11 +319,21 @@ class BlowupStep:
     note: str = ""
 
 
+class DriverStatus(str, Enum):
+    """How a driver run ended; the value is its JSON and text spelling."""
+
+    PRINCIPALIZED = "principalized"
+    RESOLVED = "resolved"
+    RESOURCE_CAPPED = "resource-capped"
+    IRRATIONAL_POINT = "irrational-point"
+    STOPPED_GENERIC_POINT = "stopped-generic-point"
+
+
 @dataclass
 class PrincipalizationTrace:
     mode: str
+    status: DriverStatus
     steps: list[BlowupStep] = field(default_factory=list)
-    status: str = "principalized"
 
     def step_count(self) -> int:
         return len(self.steps)
@@ -376,13 +387,9 @@ def _rational_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
 
 
 def _univariate_profile(g: Polynomial, var: str) -> dict[int, Fraction]:
+    """Degree -> coefficient of g, whose only variable can be `var`."""
     i = g.variables.index(var)
-    out: dict[int, Fraction] = {}
-    for exp, c in g.terms.items():
-        if any(e != 0 for k, e in enumerate(exp) if k != i):
-            raise ValueError("not univariate")
-        out[exp[i]] = out.get(exp[i], Fraction(0)) + c
-    return {k: v for k, v in out.items() if v != 0}
+    return {exp[i]: c for exp, c in g.terms.items()}
 
 
 def _monic_remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -408,10 +415,7 @@ def _has_irrational_singular_fiber_point(fiber: list[Polynomial], var: str) -> b
     """
     if len(fiber) != 1:
         return False
-    try:
-        prof = _univariate_profile(fiber[0], var)
-    except ValueError:
-        return False
+    prof = _univariate_profile(fiber[0], var)
     p = [prof.get(k, Fraction(0)) for k in range(max(prof) + 1)]
     g, b = p, [k * c for k, c in enumerate(p)][1:]
     while b:
@@ -472,10 +476,7 @@ def _eliminate_variable(fiber: list[Polynomial], u: str, v: str) -> list[Fractio
         return []
     if g.is_zero() or u not in g.support():
         return []
-    try:
-        return _rational_roots(_univariate_profile(g, u))
-    except ValueError:
-        return []
+    return _rational_roots(_univariate_profile(g, u))
 
 
 def _fiber_points(
@@ -506,11 +507,7 @@ def _fiber_points(
                     g0 = g0.restrict(other)
             if g0.is_zero() or v not in g0.support():
                 continue
-            try:
-                prof = _univariate_profile(g0, v)
-            except ValueError:
-                continue
-            candidates[v].update(_rational_roots(prof))
+            candidates[v].update(_rational_roots(_univariate_profile(g0, v)))
     if len(active) == 2 and len(fiber) >= 2:
         u, v = active
         candidates[u].update(_eliminate_variable(fiber, u, v))
@@ -566,76 +563,72 @@ def point_invariant(
         return MultiOrder((1,)), None, p
 
 
-def _divisor_step(
-    ideal: PolyIdeal,
-    mord: MultiOrder,
-    center: CenterPresentation | None,
-    divisor: Polynomial,
-    label: str,
-) -> tuple[BlowupStep, PolyIdeal]:
-    """Blowup of a one-coordinate weight-one center: exact division."""
-    gens = []
-    for g in ideal.generators:
-        q = g.divide_exact(divisor)
-        if q is None:
-            raise AdmissibilityError(
-                f"generator {g} not divisible by the divisor {divisor}"
-            )
-        gens.append(q)
-    new_ideal = PolyIdeal(ideal.variables, gens)
-    after, _, _ = point_invariant(new_ideal)
-    record = ChartRecord(
-        index=0,
-        coordinate=str(divisor),
-        weights=(1,),
-        exceptional=str(divisor),
-        substitution=((str(divisor), "divided out"),),
-        transform=new_ideal,
-        tracked=(TrackedPoint((), after, after.is_zero()),),
-    )
-    step = BlowupStep(
-        label=label,
-        ideal=ideal,
-        mord=mord,
-        center=center,
-        N=1,
-        charts=(record,),
-        note="divisor center: blowup is an isomorphism, ideal divided",
-    )
-    return step, new_ideal
-
-
 def _run_driver(
-    I: PolyIdeal,
-    mode: str,
-    max_steps: int,
-    codim: int | None = None,
+    I: PolyIdeal, max_steps: int, regular: MultiOrder | None
 ) -> PrincipalizationTrace:
-    trace = PrincipalizationTrace(mode=mode)
-    queue: list[tuple[PolyIdeal, str]] = [(I, "start")]
+    """FIFO queue of points, each carrying the invariant it was tracked with.
+
+    A point is finished when its invariant is (0) or equals `regular`, the
+    invariant (1, ..., 1) of a smooth point of the embedded driver's
+    subscheme; `regular` is None when principalizing.
+    """
+    if regular is None:
+        trace = PrincipalizationTrace("principalize", DriverStatus.PRINCIPALIZED)
+    else:
+        trace = PrincipalizationTrace("embedded", DriverStatus.RESOLVED)
+    queue: list[tuple[PolyIdeal, str, tuple]] = []
+
+    def track(ideal: PolyIdeal, label: str, coords=()) -> TrackedPoint:
+        invariant = point_invariant(ideal)
+        mord = invariant[0]
+        finished = mord.is_zero() or mord == regular
+        if not finished:
+            queue.append((ideal, label, invariant))
+        return TrackedPoint(coords, mord, finished)
+
+    track(I, "start")
     while queue:
-        ideal, label = queue.pop(0)
-        mord, res, divisor = point_invariant(ideal)
-        if mord.is_zero():
-            continue
-        if mode == "embedded" and mord == MultiOrder((1,) * codim):
-            continue  # regular point: certified, nothing to do
+        ideal, label, (mord, res, divisor) = queue.pop(0)
         if len(trace.steps) >= max_steps:
-            trace.status = "resource-capped"
+            trace.status = DriverStatus.RESOURCE_CAPPED
             return trace
 
-        if mode == "principalize" and (
+        if regular is None and (
             divisor is not None
             or (len(res.center.coords) == 1 and res.center.exponents[0] == 1)
         ):
+            # a one-coordinate weight-one center: exact division
             if divisor is None:
                 divisor = res.center.coordinate_polynomials()[0]
-            step, new_ideal = _divisor_step(
-                ideal, mord, res.center if res else None, divisor, label
+            gens = []
+            for g in ideal.generators:
+                q = g.divide_exact(divisor)
+                if q is None:
+                    raise AdmissibilityError(
+                        f"generator {g} not divisible by the divisor {divisor}"
+                    )
+                gens.append(q)
+            new_ideal = PolyIdeal(ideal.variables, gens)
+            record = ChartRecord(
+                index=0,
+                coordinate=str(divisor),
+                weights=(1,),
+                exceptional=str(divisor),
+                substitution=((str(divisor), "divided out"),),
+                transform=new_ideal,
+                tracked=(track(new_ideal, label + "/div"),),
             )
-            trace.steps.append(step)
-            if not step.charts[0].tracked[0].resolved:
-                queue.append((new_ideal, label + "/div"))
+            trace.steps.append(
+                BlowupStep(
+                    label=label,
+                    ideal=ideal,
+                    mord=mord,
+                    center=res.center if res else None,
+                    N=1,
+                    charts=(record,),
+                    note="divisor center: blowup is an isomorphism, ideal divided",
+                )
+            )
             continue
         if res is None:
             raise ContactAlignmentError(
@@ -648,7 +641,7 @@ def _run_driver(
         irrational_hit = False
         chart_trivial = []
         for chart in charts:
-            if mode == "principalize":
+            if regular is None:
                 T = controlled_transform(ideal, chart)
             else:
                 T = strict_transform(ideal, chart)
@@ -659,22 +652,15 @@ def _run_driver(
             irrational_hit = irrational_hit or irrational
             tracked = []
             for pt in points:
-                local = T.translate(pt) if pt else T
-                sub_mord, _, _ = point_invariant(local)
-                resolved = sub_mord.is_zero() or (
-                    mode == "embedded" and sub_mord == MultiOrder((1,) * codim)
-                )
+                coords = tuple(sorted(pt.items()))
+                where = ",".join(f"{v}={r}" for v, r in coords)
                 tracked.append(
-                    TrackedPoint(tuple(sorted(pt.items())), sub_mord, resolved)
-                )
-                if not resolved and not irrational_hit:
-                    queue.append(
-                        (
-                            local,
-                            f"{label}/c{chart.chart_index}@"
-                            + ",".join(f"{v}={r}" for v, r in sorted(pt.items())),
-                        )
+                    track(
+                        T.translate(pt) if pt else T,
+                        f"{label}/c{chart.chart_index}@{where}",
+                        coords,
                     )
+                )
             records.append(
                 ChartRecord(
                     index=chart.chart_index,
@@ -689,12 +675,12 @@ def _run_driver(
                 )
             )
         note = ""
-        if mode == "embedded" and chart_trivial and all(chart_trivial):
+        if regular is not None and chart_trivial and all(chart_trivial):
             # every chart's strict transform is globally trivial: the center
             # swallowed the subscheme and the next transform would not be
             # birational, so the run stops without modifying it
             note = "center contains a generic point; subscheme left unmodified"
-            trace.status = "stopped-generic-point"
+            trace.status = DriverStatus.STOPPED_GENERIC_POINT
             queue.clear()
         trace.steps.append(
             BlowupStep(
@@ -708,10 +694,8 @@ def _run_driver(
             )
         )
         if irrational_hit:
-            trace.status = "irrational-point"
+            trace.status = DriverStatus.IRRATIONAL_POINT
             return trace
-    if trace.status == "principalized" and mode == "embedded":
-        trace.status = "resolved"
     return trace
 
 
@@ -720,7 +704,7 @@ def principalize(I: PolyIdeal, max_steps: int = 10) -> PrincipalizationTrace:
     the unit ideal."""
     if I.is_zero():
         raise DomainError("cannot principalize the zero ideal")
-    return _run_driver(I, "principalize", max_steps)
+    return _run_driver(I, max_steps, None)
 
 
 def embedded_resolve(
@@ -732,7 +716,7 @@ def embedded_resolve(
         raise DomainError("cannot resolve the zero ideal")
     if codim < 1:
         raise DomainError("codimension must be positive")
-    return _run_driver(Z, "embedded", max_steps, codim=codim)
+    return _run_driver(Z, max_steps, MultiOrder((1,) * codim))
 
 
 def invariant_drop_check(trace: PrincipalizationTrace) -> bool:

@@ -152,7 +152,7 @@ def _run_verb(args) -> str:
         )
         if args.format == "text":
             return _emit(
-                f"status {trace.status} after {trace.step_count()} steps", args
+                f"status {trace.status.value} after {trace.step_count()} steps", args
             )
         return _emit(textio.trace_json(trace), args)
 
@@ -162,7 +162,7 @@ def _run_verb(args) -> str:
         )
         if args.format == "text":
             return _emit(
-                f"status {trace.status} after {trace.step_count()} steps", args
+                f"status {trace.status.value} after {trace.step_count()} steps", args
             )
         return _emit(textio.trace_json(trace), args)
 
@@ -178,15 +178,7 @@ def _run_verb(args) -> str:
         center = textio.parse_center(args.center)
         grading = blowup.rees_generators(center, args.root, args.degree)
         payload = {
-            str(n): [
-                "*".join(
-                    f"{v}^{e}" if e > 1 else v
-                    for v, e in zip(center.coords, a)
-                    if e
-                )
-                or "1"
-                for a in gens
-            ]
+            str(n): [textio.monomial_str(center.coords, a) for a in gens]
             for n, gens in grading.items()
         }
         return _emit(payload, args)
@@ -232,23 +224,16 @@ def _run_line(parser: argparse.ArgumentParser, line: str) -> int:
     except ParseError as err:
         print(_error_payload(err))
         return 2
-    outer = errors.degree_cap()
-    if args.degree_cap is not None:
-        errors.set_degree_cap(args.degree_cap)
-    try:
+    with errors.using_degree_cap(args.degree_cap or errors.degree_cap()):
         return _run(args)
-    finally:
-        errors.set_degree_cap(outer)
 
 
 def main(argv: list[str] | None = None) -> int:
-    errors.set_degree_cap(errors.degree_cap_from_env())
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.degree_cap is not None:
-        errors.set_degree_cap(args.degree_cap)
-
-    if args.verb == "batch":
+    """Run one command; the degree cap it sets is gone when it returns."""
+    args = _build_parser().parse_args(argv)
+    with errors.using_degree_cap(args.degree_cap or errors.degree_cap_from_env()):
+        if args.verb != "batch":
+            return _run(args)
         try:
             with open(args.file, encoding="utf-8") as fh:
                 lines = fh.readlines()
@@ -262,7 +247,6 @@ def main(argv: list[str] | None = None) -> int:
             if line and not line.startswith("#"):
                 status = max(status, _run_line(line_parser, line))
         return status
-    return _run(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -6,16 +6,20 @@ CLI exit code 1.  Parse and resource errors map to exit code 2.
 
 The degree cap guards against runaway polynomial expansions: any product or
 power whose total degree would exceed the cap raises ResourceLimitError.
-The default of 64 is generous for everything this library computes.
+The default of 64 is generous for everything this library computes.  The
+cap is a context variable, so it is per thread and per asyncio task, and
+`using_degree_cap` sets it for one call only.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar, Token
 
 DEFAULT_DEGREE_CAP = 64
 
-_degree_cap = DEFAULT_DEGREE_CAP
+_degree_cap: ContextVar[int] = ContextVar("degree_cap", default=DEFAULT_DEGREE_CAP)
 
 
 class WeightedResError(Exception):
@@ -85,14 +89,24 @@ class ResourceLimitError(WeightedResError):
 
 
 def degree_cap() -> int:
-    return _degree_cap
+    return _degree_cap.get()
 
 
-def set_degree_cap(cap: int) -> None:
-    global _degree_cap
+def set_degree_cap(cap: int) -> Token[int]:
+    """Set the cap in the current context; the token restores the old one."""
     if cap < 1:
         raise ValueError("degree cap must be positive")
-    _degree_cap = cap
+    return _degree_cap.set(cap)
+
+
+@contextmanager
+def using_degree_cap(cap: int):
+    """Run the body under `cap`; the previous cap is back on exit."""
+    token = set_degree_cap(cap)
+    try:
+        yield
+    finally:
+        _degree_cap.reset(token)
 
 
 def degree_cap_from_env() -> int:

@@ -50,7 +50,8 @@ class MultiOrder:
                 if e <= 0:
                     raise InvalidMultiOrderError(f"entries must be positive, got {e}")
             if any(a > b for a, b in zip(es, es[1:])):
-                raise InvalidMultiOrderError(f"entries must be increasing: {es}")
+                shown = ", ".join(str(e) for e in es)
+                raise InvalidMultiOrderError(f"entries must be increasing: ({shown})")
         object.__setattr__(self, "entries", es)
 
     def __setattr__(self, name, value):  # pragma: no cover

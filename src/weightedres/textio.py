@@ -382,13 +382,19 @@ def invariant_json(result) -> dict:
     }
 
 
+def monomial_str(names, exponents) -> str:
+    """`x^2*y` for exponents (2, 1) on the names (x, y); the empty product is 1."""
+    parts = (f"{v}^{e}" if e > 1 else v for v, e in zip(names, exponents) if e)
+    return "*".join(parts) or "1"
+
+
 def ideal_json(I: PolyIdeal) -> list[str]:
     return [str(g) for g in I.generators]
 
 
 def trace_json(trace) -> dict:
     return {
-        "status": trace.status,
+        "status": trace.status.value,
         "mode": trace.mode,
         "steps": [
             {
@@ -428,15 +434,7 @@ def tube_json(tube) -> dict:
         "base_vars": list(tube.base_vars),
         "width": multiorder_json(tube.width) if tube.width is not None else None,
         "params": list(tube.params),
-        "relations": [
-            "*".join(
-                f"{p}^{e}" if e > 1 else p
-                for p, e in zip(tube.params, rel)
-                if e
-            )
-            or "1"
-            for rel in tube.relations
-        ],
+        "relations": [monomial_str(tube.params, rel) for rel in tube.relations],
         "rank": tube.rank(),
     }
 

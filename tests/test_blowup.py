@@ -228,6 +228,33 @@ def test_corpus_terminates_within_ten_steps(corpus):
         assert invariant_drop_check(trace)
 
 
+@pytest.mark.parametrize(
+    "text, codim",
+    [
+        ("x^5 + x^3*y^3 + y^7", None),
+        ("x^2 + y^3 + z^5", None),
+        ("x^4, x*y^4, x^2*y*z^2", None),
+        ("y^2 - x^4", 1),
+    ],
+)
+def test_each_tracked_point_has_its_invariant_computed_once(monkeypatch, text, codim):
+    from weightedres import blowup
+
+    calls = []
+    original = blowup.point_invariant
+
+    def counting(ideal):
+        calls.append(ideal)
+        return original(ideal)
+
+    monkeypatch.setattr(blowup, "point_invariant", counting)
+    I = parse_ideal(text)
+    trace = principalize(I) if codim is None else embedded_resolve(I, codim)
+    tracked = [pt for step in trace.steps for chart in step.charts for pt in chart.tracked]
+    assert isinstance(trace.status, blowup.DriverStatus)
+    assert len(calls) == 1 + len(tracked)
+
+
 def test_bivariate_fiber_points_include_non_axis_zeros():
     from weightedres.blowup import _fiber_points
 

@@ -165,6 +165,17 @@ def test_degree_cap_from_environment(monkeypatch, capsys):
         set_degree_cap(DEFAULT_DEGREE_CAP)
 
 
+def test_degree_cap_of_a_call_is_gone_when_it_returns(capsys):
+    from weightedres import multiorder
+    from weightedres.errors import degree_cap
+
+    before = degree_cap()
+    code, _ = run(capsys, "--degree-cap", "5", "mord", "x^2")
+    assert code == 0
+    assert degree_cap() == before
+    assert multiorder(parse_ideal("x^9+y^10")).mord == MultiOrder((9, 10))
+
+
 # -- round trips -------------------------------------------------------------------
 
 
