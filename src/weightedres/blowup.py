@@ -28,9 +28,10 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from .centers import CenterPresentation, is_admissible
+from .centers import CenterPresentation
 from .errors import (
     AdmissibilityError,
+    AmbientMismatchError,
     ContactAlignmentError,
     DomainError,
     InvalidMultiOrderError,
@@ -150,9 +151,16 @@ def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
 
 
 def controlled_transform(I: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
-    """Pull back and divide exactly by the N-th power of the exceptional."""
-    if not is_admissible(I, chart.center):
-        raise AdmissibilityError("controlled transform requires an admissible center")
+    """Pull back and divide exactly by the N-th power of the exceptional.
+
+    The chart substitution is injective on monomials and sends an aligned
+    monomial of valuation v to s^(N*v) times an s-free monomial, so no terms
+    cancel and s^N divides a pulled-back generator exactly when every term
+    has valuation >= 1.  The division therefore fails, with
+    AdmissibilityError, exactly when the center is not admissible for I.
+    """
+    if I.variables != chart.center.ambient:
+        raise AmbientMismatchError("ideal ambient differs from center ambient")
     gens = []
     for g in I.generators:
         pulled = chart.transform_poly(g)

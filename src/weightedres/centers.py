@@ -338,9 +338,11 @@ def leading_term_decomposition(
 
 
 def leading_term_projection(I: PolyIdeal, center: CenterPresentation) -> LeadingTerm:
-    """Project an admissible ideal's generators onto the weight-1 piece."""
-    if not is_admissible(I, center):
-        raise AdmissibilityError("leading-term projection requires an admissible ideal")
+    """Project an admissible ideal's generators onto the weight-1 piece;
+    the decomposition of each generator raises AdmissibilityError if the
+    ideal is not admissible."""
+    if I.variables != center.ambient:
+        raise AmbientMismatchError("ideal ambient differs from center ambient")
     base = leading_term_basis(center)
     rows = []
     for g in I.generators:

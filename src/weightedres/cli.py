@@ -231,7 +231,12 @@ def _run_line(parser: argparse.ArgumentParser, line: str) -> int:
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the degree cap it sets is gone when it returns."""
     args = _build_parser().parse_args(argv)
-    with errors.using_degree_cap(args.degree_cap or errors.degree_cap_from_env()):
+    try:
+        cap = args.degree_cap or errors.degree_cap_from_env()
+    except ParseError as err:
+        print(_error_payload(err))
+        return 2
+    with errors.using_degree_cap(cap):
         if args.verb != "batch":
             return _run(args)
         try:

@@ -110,11 +110,9 @@ def using_degree_cap(cap: int):
 
 
 def degree_cap_from_env() -> int:
-    """Read the default degree cap from WEIGHTEDRES_DEGREE_CAP, if set."""
-    raw = os.environ.get("WEIGHTEDRES_DEGREE_CAP")
-    if raw is None:
-        return DEFAULT_DEGREE_CAP
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return DEFAULT_DEGREE_CAP
+    """Read the default degree cap from WEIGHTEDRES_DEGREE_CAP, if set; a
+    value that is not a positive integer is a ParseError."""
+    raw = os.environ.get("WEIGHTEDRES_DEGREE_CAP", str(DEFAULT_DEGREE_CAP))
+    if not raw.isdecimal() or int(raw) < 1:
+        raise ParseError(f"WEIGHTEDRES_DEGREE_CAP must be a positive integer, got {raw!r}")
+    return int(raw)

@@ -35,6 +35,7 @@ aligned polynomially and raises a typed error instead of guessing.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,7 +46,6 @@ from .errors import (
     ContactAlignmentError,
     DomainError,
     NoContactError,
-    ResourceLimitError,
 )
 from .lattice import GT, MultiOrder, is_in_mord, mord_compare
 from .poly import INFINITY, Polynomial, PolyIdeal, fresh_name
@@ -206,7 +206,7 @@ def _merge_dominated(
     return [entry for i, entry in enumerate(entries) if i in keep]
 
 
-def multiorder(I: PolyIdeal, max_levels: int | None = None) -> InvariantResult:
+def multiorder(I: PolyIdeal) -> InvariantResult:
     """Compute mord(I) and the canonical center at the origin.
 
     The unit ideal gets the zero invariant and no center.  The zero ideal is
@@ -218,7 +218,6 @@ def multiorder(I: PolyIdeal, max_levels: int | None = None) -> InvariantResult:
     if I.is_unit_at_origin():
         return InvariantResult(MultiOrder.zero(), None, ())
     ambient = I.variables
-    limit = max_levels if max_levels is not None else len(ambient)
     change = CoordinateChange.identity(ambient)
     entries: list[tuple[PolyIdeal, Fraction]] = [(I, Fraction(1))]
     ds: list[Fraction] = []
@@ -226,15 +225,13 @@ def multiorder(I: PolyIdeal, max_levels: int | None = None) -> InvariantResult:
     chain: list[ContactStep] = []
     towers: _Towers = {}
 
-    for level in range(1, limit + 2):
+    # each level restricts one more variable to zero and every child keeps
+    # positive order, so the collection is empty after len(ambient) levels
+    for level in itertools.count(1):
         collection = MarkedIdealCollection(ambient, entries)
         d = delta(collection)
         if d == INFINITY:
             break
-        if level > limit:
-            raise ResourceLimitError(
-                f"invariant recursion exceeded {limit} levels; ambient exhausted"
-            )
         d = Fraction(d)
         minimizer = next(
             (J, w) for J, w in collection.entries if J.order() / w == d

@@ -165,11 +165,7 @@ class Polynomial:
         self._check_ambient(other)
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            s = terms.get(exp, Fraction(0)) + c
-            if s == 0:
-                terms.pop(exp, None)
-            else:
-                terms[exp] = s
+            terms[exp] = terms.get(exp, 0) + c
         return Polynomial(self.variables, terms)
 
     def __neg__(self) -> "Polynomial":
@@ -192,17 +188,11 @@ class Polynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
+                terms[e] = terms.get(e, 0) + c1 * c2
         return Polynomial(self.variables, terms)
 
     def scale(self, c: Scalar) -> "Polynomial":
         c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero(self.variables)
         return Polynomial(self.variables, {e: k * c for e, k in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
@@ -292,20 +282,14 @@ class Polynomial:
         return self.substitute(images, self.variables)
 
     def derivative(self, name: str) -> "Polynomial":
+        # lowering the exponent of `name` is injective on the terms it keeps,
+        # so no two terms land on one exponent and nothing accumulates
         i = self.variables.index(name)
         terms: dict[Exponent, Fraction] = {}
         for exp, c in self.terms.items():
-            if exp[i] == 0:
-                continue
-            e = list(exp)
-            k = e[i]
-            e[i] = k - 1
-            e = tuple(e)
-            s = terms.get(e, Fraction(0)) + c * k
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
+            k = exp[i]
+            if k:
+                terms[exp[:i] + (k - 1,) + exp[i + 1 :]] = c * k
         return Polynomial(self.variables, terms)
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
@@ -326,31 +310,39 @@ class Polynomial:
         exp = max(self.terms, key=_grlex_key)
         return exp, self.terms[exp]
 
-    def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
-        """Return self / divisor if the division is exact, else None.
+    def divmod(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
+        """Graded-lex division by one polynomial: (q, r) with
+        self = q * divisor + r and no term of r divisible by the leading term
+        of divisor.
 
-        Greedy cancellation of graded-lex leading terms; for an exact
-        division the leading term of the remainder is always divisible by
-        the leading term of the divisor, so the loop succeeds or fails
-        honestly.
+        One polynomial is a Groebner basis of the ideal it generates, so r is
+        the unique normal form of self modulo (divisor).  The leading term of
+        what is left either cancels against a multiple of divisor or moves to
+        r; either way it strictly decreases, so the loop ends.
         """
         self._check_ambient(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
-            return self
+        vs = self.variables
         lead_exp, lead_c = divisor.leading()
-        rem = self
         q: dict[Exponent, Fraction] = {}
-        while not rem.is_zero():
-            rexp, rc = rem.leading()
-            diff = tuple(a - b for a, b in zip(rexp, lead_exp))
+        r: dict[Exponent, Fraction] = {}
+        rest = self
+        while not rest.is_zero():
+            exp, c = rest.leading()
+            diff = tuple(a - b for a, b in zip(exp, lead_exp))
             if any(d < 0 for d in diff):
-                return None
-            coeff = rc / lead_c
-            q[diff] = q.get(diff, Fraction(0)) + coeff
-            rem = rem - divisor * Polynomial.monomial(diff, self.variables, coeff)
-        return Polynomial(self.variables, q)
+                r[exp] = c
+                rest = rest - Polynomial.monomial(exp, vs, c)
+            else:
+                q[diff] = c / lead_c
+                rest = rest - divisor * Polynomial.monomial(diff, vs, c / lead_c)
+        return Polynomial(vs, q), Polynomial(vs, r)
+
+    def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
+        """Return self / divisor if the division is exact, else None."""
+        q, r = self.divmod(divisor)
+        return q if r.is_zero() else None
 
     def divide_by_variable_power(self, name: str, k: int) -> "Polynomial | None":
         """Exact division by name^k, or None if some term is not divisible."""
@@ -400,9 +392,7 @@ class Polynomial:
             if not mono:
                 body = str(c)
             elif abs(c) == 1:
-                body = mono if c > 0 or parts else f"-{mono}"
-                if not parts and c < 0:
-                    body = f"-{mono}"
+                body = mono if c > 0 else f"-{mono}"
             else:
                 body = f"{c}*{mono}"
             if not parts:

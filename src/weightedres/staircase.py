@@ -16,6 +16,8 @@ from .lattice import LatticeIdeal, MultiOrder
 
 
 def _grid_data(d: MultiOrder):
+    if len(d) != 2:
+        raise DomainError("staircase diagrams need exactly two entries")
     lattice = LatticeIdeal(d)
     gens = set(lattice.minimal_generators())
     rows = math.ceil(d.entries[0]) + 2
@@ -26,8 +28,6 @@ def _grid_data(d: MultiOrder):
 def staircase_text(d: MultiOrder, overlay: MultiOrder | None = None) -> str:
     """ASCII rendering: G = minimal generator, * = member, . = outside;
     with an overlay, o marks points that are members for the overlay only."""
-    if len(d) != 2:
-        raise DomainError("staircase diagrams need exactly two entries")
     lattice, gens, rows, cols = _grid_data(d)
     over = LatticeIdeal(overlay) if overlay is not None else None
     lines = []
@@ -62,8 +62,6 @@ def _svg_line(x1, y1, x2, y2, stroke, dash="") -> str:
 
 def staircase_svg(d: MultiOrder, overlay: MultiOrder | None = None) -> str:
     """Self-contained SVG: lattice dots, the value-one line, staircase hull."""
-    if len(d) != 2:
-        raise DomainError("staircase diagrams need exactly two entries")
     lattice, gens, rows, cols = _grid_data(d)
     scale = 40
     margin = 30
@@ -115,6 +113,6 @@ def staircase_svg(d: MultiOrder, overlay: MultiOrder | None = None) -> str:
 def staircase(d: MultiOrder, overlay: MultiOrder | None = None, fmt: str = "text") -> str:
     if fmt == "svg":
         return staircase_svg(d, overlay)
-    if fmt in ("text", "ascii"):
+    if fmt == "text":
         return staircase_text(d, overlay)
     raise DomainError(f"unknown staircase format {fmt!r}")

@@ -138,6 +138,8 @@ class _Parser:
             return Polynomial.constant(value, self.variables)
         if k == "ident":
             self.take()
+            if v not in self.variables:
+                raise ParseError(f"unknown variable {v!r}")
             return Polynomial.variable(v, self.variables)
         if (k, v) == ("sym", "("):
             self.take()
@@ -158,9 +160,6 @@ def _collect_variables(tokens) -> tuple[str, ...]:
 def parse_polynomial(text: str, variables: Iterable[str] | None = None) -> Polynomial:
     tokens = _tokenize(text)
     vs = tuple(variables) if variables is not None else _collect_variables(tokens)
-    for k, v in tokens:
-        if k == "ident" and v not in vs:
-            raise ParseError(f"unknown variable {v!r}")
     parser = _Parser(tokens, vs)
     result = parser.expr()
     if not parser.at_end():
@@ -218,48 +217,37 @@ def parse_multiorder(text: str) -> MultiOrder:
     return MultiOrder(parse_rational(e) for e in entries)
 
 
-def _center_entry(tokens) -> tuple[Polynomial | str, Fraction]:
-    """One center entry: base [^ exponent]; plain variables stay strings."""
-    split = None
-    depth = 0
-    for i, (k, v) in enumerate(tokens):
-        if k == "sym" and v in "([":
-            depth += 1
-        elif k == "sym" and v in ")]":
-            depth -= 1
-        elif k == "sym" and v == "^" and depth == 0:
-            split = i
-    if split is None:
-        base_tokens, exp = tokens, Fraction(1)
-    else:
-        base_tokens = tokens[:split]
-        exp_tokens = tokens[split + 1 :]
-        if len(exp_tokens) == 1 and exp_tokens[0][0] == "num":
-            exp = Fraction(int(exp_tokens[0][1]))
+def _center_entry(tokens) -> tuple[list, Fraction]:
+    """One center entry: the base's tokens and the exponent after the last
+    top-level caret (1 without one)."""
+    parts = _split_top_level(tokens, "^")
+    if len(parts) == 1:
+        return tokens, Fraction(1)
+    exp_tokens = parts[-1]
+    if len(exp_tokens) == 1 and exp_tokens[0][0] == "num":
+        exp = Fraction(int(exp_tokens[0][1]))
+    elif (
+        len(exp_tokens) >= 3
+        and exp_tokens[0] == ("sym", "(")
+        and exp_tokens[-1] == ("sym", ")")
+    ):
+        inner = exp_tokens[1:-1]
+        if len(inner) == 1 and inner[0][0] == "num":
+            exp = Fraction(int(inner[0][1]))
         elif (
-            len(exp_tokens) >= 3
-            and exp_tokens[0] == ("sym", "(")
-            and exp_tokens[-1] == ("sym", ")")
+            len(inner) == 3
+            and inner[0][0] == "num"
+            and inner[1] == ("sym", "/")
+            and inner[2][0] == "num"
         ):
-            inner = [t for t in exp_tokens[1:-1]]
-            if len(inner) == 1 and inner[0][0] == "num":
-                exp = Fraction(int(inner[0][1]))
-            elif (
-                len(inner) == 3
-                and inner[0][0] == "num"
-                and inner[1] == ("sym", "/")
-                and inner[2][0] == "num"
-            ):
-                if int(inner[2][1]) == 0:
-                    raise ParseError("zero denominator in a center exponent")
-                exp = Fraction(int(inner[0][1]), int(inner[2][1]))
-            else:
-                raise ParseError("bad exponent in center entry")
+            if int(inner[2][1]) == 0:
+                raise ParseError("zero denominator in a center exponent")
+            exp = Fraction(int(inner[0][1]), int(inner[2][1]))
         else:
-            raise ParseError("fractional exponents must be parenthesized")
-    if len(base_tokens) == 1 and base_tokens[0][0] == "ident":
-        return base_tokens[0][1], exp
-    return base_tokens, exp
+            raise ParseError("bad exponent in center entry")
+    else:
+        raise ParseError("fractional exponents must be parenthesized")
+    return tokens[: -len(exp_tokens) - 1], exp
 
 
 def parse_center(
@@ -272,7 +260,7 @@ def parse_center(
     blocks = _split_top_level(tokens, "|")
     if len(blocks) > 2:
         raise ParseError("at most one block separator is allowed")
-    raw_entries: list[tuple[object, Fraction]] = []
+    raw_entries: list[tuple[list, Fraction]] = []
     if len(blocks) == 2:
         for chunk in _split_top_level(blocks[0], ","):
             if chunk:
@@ -291,14 +279,11 @@ def parse_center(
     vs = tuple(variables) if variables is not None else _collect_variables(tokens)
     entries = []
     for base, exp in raw_entries:
-        if isinstance(base, str):
-            entries.append((Polynomial.variable(base, vs), exp))
-        else:
-            parser = _Parser(list(base), vs)
-            poly = parser.expr()
-            if not parser.at_end():
-                raise ParseError("trailing input in a center entry")
-            entries.append((poly, exp))
+        parser = _Parser(base, vs)
+        poly = parser.expr()
+        if not parser.at_end():
+            raise ParseError("trailing input in a center entry")
+        entries.append((poly, exp))
     entries.sort(key=lambda t: t[1])
     change = CoordinateChange.identity(vs)
     coords: list[str] = []

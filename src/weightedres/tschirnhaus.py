@@ -155,20 +155,17 @@ def make_tschirnhaus(
         if _level_witness(I, current, i) is not None:
             continue
 
-        found = None
         for f in _candidates(I):
             if f.is_zero():
                 continue
-            decomp = leading_term_decomposition(f, current)
-            claim = _claim_term(decomp, current, i)
+            claim = _claim_term(leading_term_decomposition(f, current), current, i)
             if claim is not None:
-                found = (f, claim)
                 break
-        if found is None:
+        else:
             raise CertificateError(
                 f"no witness material at level {i}: the center is not canonical"
             )
-        f, (exp, c) = found
+        exp, c = claim
         f = f.scale(Fraction(1) / c)
 
         block = [j for j in range(i - 1, n) if d[j] == d[i - 1]]
@@ -178,36 +175,26 @@ def make_tschirnhaus(
             target = tuple(
                 exp[j] if j < i - 1 else (e if j == i - 1 else 0) for j in range(n)
             )
-            sheared = None
             for b in SHEAR_SEQUENCE:
-                steps = []
-                trial = current
+                tail = Polynomial.variable(current.coords[i - 1], current.ambient)
+                tail = tail.scale(Fraction(-b))
+                change = current.change
                 for j in block:
-                    if j == i - 1:
-                        continue
-                    tail = Polynomial.variable(
-                        current.coords[i - 1], current.ambient
-                    ).scale(Fraction(-b))
-                    steps.append(AlignStep(current.coords[j], Fraction(1), tail))
-                trial_change = trial.change
-                for st in steps:
-                    trial_change = trial_change.then(st)
+                    if j != i - 1:
+                        change = change.then(AlignStep(current.coords[j], Fraction(1), tail))
                 trial = CenterPresentation(
-                    current.ambient, trial_change, current.coords, current.exponents
+                    current.ambient, change, current.coords, current.exponents
                 )
-                dec = leading_term_decomposition(f, trial)
-                coeff = dec.get(target)
+                coeff = leading_term_decomposition(f, trial).get(target)
                 if coeff is not None and coeff.is_constant() and coeff.constant_term() != 0:
-                    sheared = (trial, dec, coeff.constant_term(), b)
                     break
-            if sheared is None:
+            else:
                 raise CertificateError(
                     f"no usable shear found at level {i} within the search bound"
                 )
-            current, decomp, c2, b = sheared
+            current = trial
             applied.append(f"shear level {i}: block shift by {b}")
-            f = f.scale(Fraction(1) / c2)
-            decomp = leading_term_decomposition(f, current)
+            f = f.scale(Fraction(1) / coeff.constant_term())
             exp = target
 
         # clear every weight-one term starting (c_1, ..., c_{i-1}, e - 1)

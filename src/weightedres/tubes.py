@@ -40,7 +40,7 @@ from .errors import (
     NotATubeError,
     UnrepresentableError,
 )
-from .lattice import LatticeIdeal, MultiOrder, is_in_mord, mord_compare, split_gt1
+from .lattice import LatticeIdeal, MultiOrder, is_in_mord, mord_compare
 from .poly import Exponent, Polynomial, PolyIdeal, power_product
 
 
@@ -339,7 +339,7 @@ def tube_center_correspondence(center: CenterPresentation) -> TubeAlgebra:
     """The tube cut out by the rounding of an integral center."""
     if not is_in_mord(center.mord()):
         raise NonIntegralCenterError(f"{center} is not integral")
-    ones, tail = split_gt1(center.mord())
+    tail = center.t_exponents()
     base = tuple(v for v in center.ambient if v not in center.coords)
     params = center.t_coords()
     relations: tuple[Exponent, ...] = ()
@@ -449,41 +449,19 @@ def tubular_rees_piece(A: TubeAlgebra, N: int, n: int) -> list[Exponent]:
 
 
 def _reduce_mod(f: Polynomial, Z: PolyIdeal) -> Polynomial:
-    """Normal form modulo a zero, monomial, or principal ideal."""
-    if Z.is_zero():
-        return f
-    if Z.is_monomial():
-        exps = Z.monomial_exponents()
-        terms = {
-            e: c
-            for e, c in f.terms.items()
-            if not any(_dominates(e, r) for r in exps)
-        }
-        return Polynomial(f.variables, terms)
-    if len(Z.generators) == 1:
-        g = Z.generators[0]
-        lead_exp, lead_c = g.leading()
-        rem = f
-        guard = 0
-        while not rem.is_zero():
-            hit = None
-            for exp in sorted(rem.terms, key=lambda t: (-sum(t), t)):
-                diff = tuple(a - b for a, b in zip(exp, lead_exp))
-                if all(x >= 0 for x in diff):
-                    hit = (exp, diff)
-                    break
-            if hit is None:
-                break
-            exp, diff = hit
-            coeff = rem.terms[exp] / lead_c
-            rem = rem - g * Polynomial.monomial(diff, f.variables, coeff)
-            guard += 1
-            if guard > 10000:
-                raise UnrepresentableError("reduction does not terminate")
-        return rem
-    raise UnrepresentableError(
-        "normal forms are only available modulo zero, monomial, or principal ideals"
-    )
+    """Normal form modulo a zero, monomial, or principal ideal.
+
+    Such generators form a Groebner basis, and dividing by a monomial only
+    drops terms, so the remainder of division by each generator in turn is
+    the unique normal form.
+    """
+    if len(Z.generators) > 1 and not Z.is_monomial():
+        raise UnrepresentableError(
+            "normal forms are only available modulo zero, monomial, or principal ideals"
+        )
+    for g in Z.generators:
+        f = f.divmod(g)[1]
+    return f
 
 
 def rees_restriction_check(

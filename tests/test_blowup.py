@@ -8,6 +8,7 @@ from weightedres import (
     controlled_transform,
     embedded_resolve,
     invariant_drop_check,
+    leading_term_projection,
     minimal_root,
     multiorder,
     parse_ideal,
@@ -25,6 +26,7 @@ from weightedres.blowup import (
 from weightedres.errors import (
     DEFAULT_DEGREE_CAP,
     AdmissibilityError,
+    AmbientMismatchError,
     set_degree_cap,
 )
 from weightedres.textio import parse_polynomial
@@ -94,6 +96,15 @@ def test_controlled_transform_requires_admissibility():
     J = parse_center("[x^2, y^3]")
     with pytest.raises(AdmissibilityError):
         controlled_transform(I, build_charts(J, 6)[0])
+
+
+def test_transform_and_projection_reject_an_ideal_in_another_ambient():
+    I = parse_ideal("x^2 + z^3", ("x", "z"))
+    J = parse_center("[x^2, y^3]")
+    with pytest.raises(AmbientMismatchError):
+        controlled_transform(I, build_charts(J, 6)[0])
+    with pytest.raises(AmbientMismatchError):
+        leading_term_projection(I, J)
 
 
 def test_strict_transform_mechanics():

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from weightedres import MultiOrder, mord_compare, parse_ideal
 from weightedres.blowup import principalize
 from weightedres.cli import main
+from weightedres.errors import ParseError
 from weightedres.lattice import LT
 from weightedres.textio import (
     format_center,
@@ -280,3 +286,119 @@ def test_huge_constant_is_refused_by_the_root_search_bound(capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert json.loads(out)["error"]["code"] == "resource-cap"
+
+
+# -- unknown variables and malformed settings -----------------------------------
+
+
+def test_unknown_variable_in_a_tschirnhaus_ideal_is_a_parse_error(capsys):
+    code, out = run(capsys, "tschirnhaus", "x + z", "[x^2]")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "parse-error"
+    assert "'z'" in error["message"]
+
+
+def test_parsers_with_an_explicit_ambient_reject_unknown_variables():
+    for parse, text in ((parse_ideal, "x + z"), (parse_center, "[z^2]")):
+        with pytest.raises(ParseError, match="'z'"):
+            parse(text, ("x",))
+
+
+@pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-3", ""])
+def test_malformed_degree_cap_in_the_environment_is_a_parse_error(monkeypatch, capsys, raw):
+    monkeypatch.setenv("WEIGHTEDRES_DEGREE_CAP", raw)
+    code, out = run(capsys, "mord", "x^2")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "parse-error"
+    assert "WEIGHTEDRES_DEGREE_CAP" in error["message"]
+
+
+# -- fuzz over the input grammar ---------------------------------------------------
+
+FUZZ_VARS = ("x", "y", "z")
+digit = st.integers(1, 9)
+
+
+@st.composite
+def rationals(draw, zero_denominator=True):
+    p = str(draw(digit))
+    if draw(st.booleans()):
+        return p
+    return f"{p}/{draw(st.integers(0 if zero_denominator else 1, 9))}"
+
+
+@st.composite
+def ideal_texts(draw):
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        text = ""
+        for k in range(draw(st.integers(1, 3))):
+            factors = [
+                v if e == 1 else f"{v}^{e}"
+                for v in FUZZ_VARS
+                if (e := draw(st.integers(0, 6)))
+            ]
+            coeff = draw(st.one_of(st.just(""), rationals()))
+            mono = "*".join(([coeff] if coeff else []) + factors) or "1"
+            sign = draw(st.sampled_from(("+", "-") if k else ("", "-")))
+            text += f" {sign} {mono}" if k else f"{sign}{mono}"
+        gens.append(text)
+    return ", ".join(gens)
+
+
+@st.composite
+def center_texts(draw):
+    block = draw(st.lists(st.sampled_from(FUZZ_VARS), max_size=2))
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        v = draw(st.sampled_from(FUZZ_VARS))
+        e = draw(st.one_of(digit.map(str), rationals().map(lambda r: f"({r})")))
+        entries.append(f"{v}^{e}")
+    head = ", ".join(block) + " | " if block else ""
+    return "[" + head + ", ".join(entries) + "]"
+
+
+@st.composite
+def width_texts(draw):
+    return "(" + ", ".join(draw(st.lists(rationals(), min_size=1, max_size=3))) + ")"
+
+
+def _argv(verb, *positionals, options=()):
+    # `--` keeps a leading minus sign from reading as an option
+    return ["--degree-cap", "16", verb, *options, "--", *positionals]
+
+
+cli_inputs = st.one_of(
+    ideal_texts().map(lambda I: _argv("mord", I)),
+    ideal_texts().map(lambda I: _argv("center", I)),
+    center_texts().map(lambda J: _argv("round", J)),
+    st.tuples(ideal_texts(), center_texts(), st.booleans()).map(
+        lambda t: _argv("tschirnhaus", t[0], t[1], options=("--make",) * t[2])
+    ),
+    ideal_texts().map(lambda I: _argv("principalize", I, options=("--max-steps", "3"))),
+    st.tuples(ideal_texts(), st.integers(1, 2)).map(
+        lambda t: _argv(
+            "embed-resolve", t[0], options=("--codim", str(t[1]), "--max-steps", "3")
+        )
+    ),
+    st.one_of(center_texts(), width_texts()).map(lambda A: _argv("tube", A)),
+    st.tuples(center_texts(), st.integers(0, 12)).map(
+        lambda t: _argv("rees", t[0], options=("--root", str(t[1])))
+    ),
+    st.tuples(width_texts(), st.one_of(st.none(), width_texts())).map(
+        lambda t: _argv("staircase", t[0], options=("--overlay", t[1]) if t[1] else ())
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cli_inputs)
+def test_every_cli_input_exits_cleanly_with_a_json_error_on_failure(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        assert set(json.loads(out.getvalue())) == {"error"}

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weightedres import (
     AmbientMismatchError,
@@ -209,6 +209,19 @@ def test_exact_division():
     q = f.divide_exact(g)
     assert q == P("x - y^2")
     assert P("x^2 + y").divide_exact(g) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys(), small_polys(), small_polys())
+def test_divmod_is_graded_lex_division_with_a_unique_remainder(f, g, h):
+    assume(not g.is_zero())
+    q, r = f.divmod(g)
+    assert f == q * g + r
+    lead, _ = g.leading()
+    assert not any(all(a >= b for a, b in zip(exp, lead)) for exp in r.terms)
+    assert (f.divide_exact(g) is None) == (not r.is_zero())
+    # the remainder is the normal form modulo (g): it ignores multiples of g
+    assert (f + h * g).divmod(g)[1] == r
 
 
 def test_parse_round_trip():

@@ -119,3 +119,50 @@ def test_every_definition_is_referenced():
     defined = {str(path): definitions(texts[str(path)]) for path in sorted(SRC.glob("*.py"))}
     dead = set(unreferenced(defined, texts, str(SRC / "__init__.py"))) - library_hooks()
     assert sorted(dead) == []
+
+
+# -- unused imports --------------------------------------------------------------
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; a read inside a quoted
+    annotation counts."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    notes = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
+    notes += [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    quoted = [
+        ast.parse(c.value, mode="eval")
+        for note in notes
+        if note is not None
+        for c in ast.walk(note)
+        if isinstance(c, ast.Constant) and isinstance(c.value, str)
+    ]
+    read = {n.id for t in [tree, *quoted] for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_unused_import_check_flags_the_unread_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "from typing import Iterable, Mapping\n"
+        "from .poly import Polynomial as P, power_product\n\n"
+        "def f(m: 'Mapping[str, int]') -> 'P':\n"
+        "    return os.sep\n"
+    )
+    assert unused_imports(source) == ["Iterable", "power_product"]
+
+
+def test_every_import_is_used():
+    found = {
+        path.name: unused_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
