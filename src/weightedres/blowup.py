@@ -719,11 +719,16 @@ def embedded_resolve(
     Z: PolyIdeal, codim: int, max_steps: int = 10
 ) -> PrincipalizationTrace:
     """Strict-transform driver; a tracked point is finished when its
-    invariant is (1, ..., 1) of length `codim`."""
+    invariant is (1, ..., 1) of length `codim`, which is at most the
+    number of variables."""
     if Z.is_zero():
         raise DomainError("cannot resolve the zero ideal")
     if codim < 1:
         raise DomainError("codimension must be positive")
+    if codim > len(Z.variables):
+        raise DomainError(
+            f"codimension {codim} exceeds the number of variables ({len(Z.variables)})"
+        )
     return _run_driver(Z, max_steps, MultiOrder((1,) * codim))
 
 

@@ -4,16 +4,20 @@ One verb per pipeline; every verb emits JSON by default (rationals as
 strings), `--format text` gives a short human rendering, and `staircase`
 additionally supports `--format svg`.  Exit codes: 0 success (a driver that
 stops early, at an irrational point say, reports it in its `status`), 1
-domain errors (inadmissible input, non-integral center, ...), 2 parse or
-resource errors.  `batch FILE` runs one command per line, ignoring blank
-lines and `#` comments: every line prints one JSON document, lines run
-under the outer degree cap, a `batch` line is a parse error, and the exit
-code is the largest over the lines.
+domain errors (inadmissible input, non-integral center, a `--codim` above
+the number of variables, ...), 2 parse or resource errors.  Every failure
+prints one JSON `error` document on stdout, usage errors, an `--output`
+that cannot be written and an unreadable batch file included (each a
+`parse-error`); only `-h` prints help instead.  `batch FILE` runs one
+command per line, ignoring blank lines and `#` comments: every line prints
+one JSON document, lines run under the outer degree cap, a `batch` line is
+a parse error, and the exit code is the largest over the lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shlex
 import sys
@@ -21,16 +25,30 @@ import sys
 from . import blowup, errors, invariant, textio, tschirnhaus
 from .centers import rounding
 from .staircase import staircase as render_staircase
-from .errors import DomainError, ParseError, ResourceLimitError, WeightedResError
+from .errors import DomainError, ParseError, WeightedResError
 from .tubes import constant_tube, tube_center_correspondence
 
 
-class _LineParser(argparse.ArgumentParser):
-    """Parser for batch lines: a bad line or a help request is a
-    ParseError, not an exit."""
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ParseError, not a message on stderr and an exit."""
 
     def error(self, message):
         raise ParseError(message)
+
+
+class _LineParser(_Parser):
+    """Parser for one batch line: the line is split like a shell would, and
+    it may neither ask for help nor run `batch` again."""
+
+    def parse_args(self, line):
+        try:
+            argv = shlex.split(line)
+        except ValueError as err:  # unbalanced quotes
+            raise ParseError(f"cannot split the batch line: {err}") from None
+        args = super().parse_args(argv)
+        if args.verb == "batch":
+            raise ParseError("a batch line cannot run batch")
+        return args
 
     def print_help(self, file=None):
         raise ParseError("a batch line cannot ask for help")
@@ -43,7 +61,10 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser(cls=argparse.ArgumentParser) -> argparse.ArgumentParser:
+@functools.cache
+def _build_parser(cls: type[_Parser]) -> _Parser:
+    """The parser tree of `cls`, built on first use and then shared (parsing
+    does not change it); subparsers share its class."""
     parser = cls(
         prog="weightedres",
         description="Exact multiorder invariants, weighted centers and blowups.",
@@ -108,8 +129,11 @@ def _emit(payload, args) -> str:
     else:
         text = payload if isinstance(payload, str) else json.dumps(payload, indent=2)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as err:
+            raise ParseError(str(err)) from None
         return ""
     return text
 
@@ -146,20 +170,12 @@ def _run_verb(args) -> str:
             return _emit("certificate found" if cert else "no certificate", args)
         return _emit({"certificate": textio.certificate_json(cert)}, args)
 
-    if args.verb == "principalize":
-        trace = blowup.principalize(
-            textio.parse_ideal(args.ideal), max_steps=args.max_steps
-        )
-        if args.format == "text":
-            return _emit(
-                f"status {trace.status.value} after {trace.step_count()} steps", args
-            )
-        return _emit(textio.trace_json(trace), args)
-
-    if args.verb == "embed-resolve":
-        trace = blowup.embedded_resolve(
-            textio.parse_ideal(args.ideal), args.codim, max_steps=args.max_steps
-        )
+    if args.verb in ("principalize", "embed-resolve"):
+        ideal = textio.parse_ideal(args.ideal)
+        if args.verb == "principalize":
+            trace = blowup.principalize(ideal, max_steps=args.max_steps)
+        else:
+            trace = blowup.embedded_resolve(ideal, args.codim, max_steps=args.max_steps)
         if args.format == "text":
             return _emit(
                 f"status {trace.status.value} after {trace.step_count()} steps", args
@@ -183,75 +199,50 @@ def _run_verb(args) -> str:
         }
         return _emit(payload, args)
 
-    if args.verb == "staircase":
-        d = textio.parse_multiorder(args.width)
-        overlay = textio.parse_multiorder(args.overlay) if args.overlay else None
-        fmt = "text" if args.format == "json" else args.format
-        return _emit(render_staircase(d, overlay, fmt), args)
-
-    raise ParseError(f"unknown verb {args.verb!r}")
+    # staircase, the last verb; argparse has rejected any other name
+    d = textio.parse_multiorder(args.width)
+    overlay = textio.parse_multiorder(args.overlay) if args.overlay else None
+    fmt = "text" if args.format == "json" else args.format
+    return _emit(render_staircase(d, overlay, fmt), args)
 
 
-def _error_payload(err: WeightedResError) -> str:
-    return json.dumps({"error": {"code": err.code, "message": str(err)}})
-
-
-def _run(args) -> int:
+def _batch_lines(path: str) -> list[str]:
+    """The command lines of a batch file: blank lines and `#` comments go."""
     try:
-        out = _run_verb(args)
-        if out:
-            print(out)
-        return 0
-    except (ParseError, ResourceLimitError) as err:
-        print(_error_payload(err))
-        return 2
-    except DomainError as err:
-        print(_error_payload(err))
-        return 1
+        with open(path, encoding="utf-8") as fh:
+            lines = [line.strip() for line in fh]
+    except OSError as err:
+        raise ParseError(str(err)) from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8: {err.reason} at byte {err.start}") from None
+    return [line for line in lines if line and not line.startswith("#")]
 
 
-def _run_line(parser: argparse.ArgumentParser, line: str) -> int:
-    """One batch line under the outer degree cap (a line's own
-    `--degree-cap` holds for that line only)."""
+def _run(parser: _Parser, argv: list[str] | str | None, default_cap) -> int:
+    """Parse one command, run it (or its batch file) under its own degree
+    cap or `default_cap()`, and print its output or its one JSON error
+    document; returns the exit code."""
     try:
-        try:
-            argv = shlex.split(line)
-        except ValueError as err:  # unbalanced quotes
-            raise ParseError(f"cannot split the batch line: {err}") from None
         args = parser.parse_args(argv)
-        if args.verb == "batch":
-            raise ParseError("a batch line cannot run batch")
-    except ParseError as err:
-        print(_error_payload(err))
-        return 2
-    with errors.using_degree_cap(args.degree_cap or errors.degree_cap()):
-        return _run(args)
+        with errors.using_degree_cap(args.degree_cap or default_cap()):
+            if args.verb == "batch":
+                lines = _batch_lines(args.file)
+                line_parser = _build_parser(_LineParser)
+                return max(
+                    (_run(line_parser, line, errors.degree_cap) for line in lines), default=0
+                )
+            out = _run_verb(args)
+    except WeightedResError as err:
+        print(json.dumps({"error": {"code": err.code, "message": str(err)}}))
+        return 1 if isinstance(err, DomainError) else 2
+    if out:
+        print(out)
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the degree cap it sets is gone when it returns."""
-    args = _build_parser().parse_args(argv)
-    try:
-        cap = args.degree_cap or errors.degree_cap_from_env()
-    except ParseError as err:
-        print(_error_payload(err))
-        return 2
-    with errors.using_degree_cap(cap):
-        if args.verb != "batch":
-            return _run(args)
-        try:
-            with open(args.file, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError as err:
-            print(json.dumps({"error": {"code": "parse-error", "message": str(err)}}))
-            return 2
-        line_parser = _build_parser(_LineParser)
-        status = 0
-        for line in lines:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                status = max(status, _run_line(line_parser, line))
-        return status
+    return _run(_build_parser(_Parser), argv, errors.degree_cap_from_env)
 
 
 if __name__ == "__main__":  # pragma: no cover

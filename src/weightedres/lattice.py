@@ -208,13 +208,15 @@ class LatticeIdeal:
         cached = object.__getattribute__(self, "_minimal")
         if cached is not None:
             return list(cached)
-        members = [a for a in self._box() if self.contains(a)]
+        # I_d is upward closed, so a member a is minimal exactly when no
+        # a - e_j is a member, i.e. value(a) - w_j < 1 for every a_j > 0;
+        # the box is downward closed, so this local test agrees with
+        # minimality among all members of the box
+        ws = self.weights_tuple
         minimal = [
             a
-            for a in members
-            if not any(
-                b != a and all(x <= y for x, y in zip(b, a)) for b in members
-            )
+            for a in self._box()
+            if (v := self.value(a)) >= 1 and all(v - w < 1 for x, w in zip(a, ws) if x)
         ]
         minimal.sort(key=lambda t: tuple(-e for e in t))
         object.__setattr__(self, "_minimal", tuple(minimal))

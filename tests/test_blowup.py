@@ -27,6 +27,7 @@ from weightedres.errors import (
     DEFAULT_DEGREE_CAP,
     AdmissibilityError,
     AmbientMismatchError,
+    DomainError,
     set_degree_cap,
 )
 from weightedres.textio import parse_polynomial
@@ -212,6 +213,14 @@ def test_embedded_resolution_of_the_higher_cusp():
     trace = embedded_resolve(Z, 1)
     assert trace.status == "resolved"
     assert invariant_drop_check(trace)
+
+
+@pytest.mark.parametrize("codim", [3, 200000])
+def test_embedded_resolution_rejects_a_codimension_above_the_ambient(codim):
+    with pytest.raises(DomainError, match="exceeds the number of variables"):
+        embedded_resolve(parse_ideal("x^2 - y^3"), codim)
+    # the codimension may equal the number of variables
+    assert embedded_resolve(parse_ideal("x, y"), 2).status == "resolved"
 
 
 def test_embedded_resolution_separates_tangent_branches():

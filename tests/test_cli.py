@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -180,6 +184,69 @@ def test_degree_cap_of_a_call_is_gone_when_it_returns(capsys):
     assert code == 0
     assert degree_cap() == before
     assert multiorder(parse_ideal("x^9+y^10")).mord == MultiOrder((9, 10))
+
+
+# -- usage errors and unwritable files -------------------------------------------
+
+
+def parse_error(capsys, argv):
+    """Run argv; it must exit 2 with exactly one JSON `parse-error` document
+    on stdout and nothing on stderr.  Returns the message."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert set(payload) == {"error"}
+    assert payload["error"]["code"] == "parse-error"
+    return payload["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["mord"],
+        ["mord", "-x^2+y^3"],  # read as an option without `--`
+        ["mord", "x^2", "--degree-cap", "3"],  # a top-level option after the verb
+    ],
+)
+def test_usage_errors_are_parse_error_documents(capsys, argv):
+    parse_error(capsys, argv)
+
+
+@pytest.mark.parametrize("target", ["missing/f.json", "."])
+def test_unwritable_output_is_a_parse_error(tmp_path, capsys, target):
+    parse_error(capsys, ["mord", "x^2", "--output", str(tmp_path / target)])
+
+
+def test_batch_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    script = tmp_path / "commands.txt"
+    script.write_bytes(b"mord \xff\n")
+    assert "UTF-8" in parse_error(capsys, ["batch", str(script)])
+
+
+def test_shipped_entry_point():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "weightedres.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+
+    done = cli("mord", "x^2")
+    assert done.returncode == 0
+    assert json.loads(done.stdout) == {"mord": ["2"]}
+    done = cli("mord")
+    assert done.returncode == 2
+    assert json.loads(done.stdout)["error"]["code"] == "parse-error"
+    assert done.stderr == ""
+    done = cli("-h")
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage:")
 
 
 # -- round trips -------------------------------------------------------------------
@@ -365,40 +432,50 @@ def width_texts(draw):
     return "(" + ", ".join(draw(st.lists(rationals(), min_size=1, max_size=3))) + ")"
 
 
-def _argv(verb, *positionals, options=()):
-    # `--` keeps a leading minus sign from reading as an option
-    return ["--degree-cap", "16", verb, *options, "--", *positionals]
+def _command(verb, *positionals, options=()):
+    return verb, positionals, options
 
 
-cli_inputs = st.one_of(
-    ideal_texts().map(lambda I: _argv("mord", I)),
-    ideal_texts().map(lambda I: _argv("center", I)),
-    center_texts().map(lambda J: _argv("round", J)),
+commands = st.one_of(
+    ideal_texts().map(lambda I: _command("mord", I)),
+    ideal_texts().map(lambda I: _command("center", I)),
+    center_texts().map(lambda J: _command("round", J)),
     st.tuples(ideal_texts(), center_texts(), st.booleans()).map(
-        lambda t: _argv("tschirnhaus", t[0], t[1], options=("--make",) * t[2])
+        lambda t: _command("tschirnhaus", t[0], t[1], options=("--make",) * t[2])
     ),
-    ideal_texts().map(lambda I: _argv("principalize", I, options=("--max-steps", "3"))),
+    ideal_texts().map(lambda I: _command("principalize", I, options=("--max-steps", "3"))),
     st.tuples(ideal_texts(), st.integers(1, 2)).map(
-        lambda t: _argv(
+        lambda t: _command(
             "embed-resolve", t[0], options=("--codim", str(t[1]), "--max-steps", "3")
         )
     ),
-    st.one_of(center_texts(), width_texts()).map(lambda A: _argv("tube", A)),
+    st.one_of(center_texts(), width_texts()).map(lambda A: _command("tube", A)),
     st.tuples(center_texts(), st.integers(0, 12)).map(
-        lambda t: _argv("rees", t[0], options=("--root", str(t[1])))
+        lambda t: _command("rees", t[0], options=("--root", str(t[1])))
     ),
     st.tuples(width_texts(), st.one_of(st.none(), width_texts())).map(
-        lambda t: _argv("staircase", t[0], options=("--overlay", t[1]) if t[1] else ())
+        lambda t: _command("staircase", t[0], options=("--overlay", t[1]) if t[1] else ())
     ),
 )
+
+
+def _argv(command, dashdash):
+    # without `--` a positional with a leading minus reads as an option,
+    # which must end in a parse-error document too
+    verb, positionals, options = command
+    return ["--degree-cap", "16", verb, *options, *("--",) * dashdash, *positionals]
+
+
+cli_inputs = st.tuples(commands, st.booleans()).map(lambda t: _argv(*t))
 
 
 @settings(max_examples=200, deadline=None)
 @given(cli_inputs)
 def test_every_cli_input_exits_cleanly_with_a_json_error_on_failure(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
+    assert err.getvalue() == ""
     if code:
         assert set(json.loads(out.getvalue())) == {"error"}

@@ -146,9 +146,10 @@ def test_complement_counts():
 
 
 def test_minimal_generators_form_a_complete_antichain():
-    for d in (M(5, 7), M(2, 3), M(4, F(16, 3), F(32, 5))):
+    for d in (M(5, 7), M(2, 3), M(4, F(16, 3), F(32, 5)), M(2, 3, 4), M(F(14, 5), F(7, 2))):
         lattice = LatticeIdeal(d)
         gens = lattice.minimal_generators()
+        assert all(lattice.contains(g) for g in gens)
         for a, b in itertools.permutations(gens, 2):
             assert not all(x <= y for x, y in zip(a, b))
         import math
