@@ -7,7 +7,9 @@ N/d_k integral, chart k of the stacky N-th root blowup substitutes
 
 on the aligned coordinates, with s the exceptional coordinate and the chart
 carrying a residual action of order w_k (recorded, not quotiented: the
-grading is checked symbolically instead).  The controlled transform divides
+grading is checked symbolically instead).  This is a monomial map, so a
+pullback and a chart transition act on exponent vectors and never multiply
+polynomials.  The controlled transform divides
 every pulled-back generator exactly by s^N; the strict transform divides
 each generator by its own maximal s-power.
 
@@ -39,7 +41,7 @@ from .errors import (
 )
 from .invariant import InvariantResult, multiorder
 from .lattice import LT, LatticeIdeal, MultiOrder, is_in_mord, mord_compare
-from .poly import Polynomial, PolyIdeal, fresh_name
+from .poly import Polynomial, PolyIdeal, check_degree, fresh_name
 
 # largest integral leading or trailing coefficient whose divisors the
 # rational-root search enumerates (about 10^6 trial divisions each)
@@ -89,7 +91,12 @@ def rees_generators(
 
 @dataclass(frozen=True)
 class WeightedChart:
-    """One affine chart of the stacky root blowup of a center."""
+    """One affine chart of the stacky root blowup of a center.
+
+    The chart keeps every ambient position: the chart coordinate's position
+    holds the exceptional coordinate s, every other center coordinate u_j
+    becomes its primed name u_j', and the remaining variables stay.
+    """
 
     center: CenterPresentation
     N: int
@@ -97,13 +104,43 @@ class WeightedChart:
     exceptional: str
     weights: tuple[int, ...]
     ambient: tuple[str, ...]
-    substitution: dict[str, Polynomial]
     primes: dict[str, str]
     stabilizer_order: int
 
+    def _pull_aligned(self, aligned: Polynomial) -> Polynomial:
+        """The chart's monomial map on a polynomial in the center's ambient.
+
+        On an exponent vector e it replaces the chart coordinate's entry with
+        sum_j w_j * e_j, the exponent of s, and keeps every other entry.  It
+        is injective, so no two terms meet.  A term whose image has total
+        degree above the degree cap raises ResourceLimitError, as the product
+        that computes it would.
+        """
+        amb = self.center.ambient
+        weighted = [(amb.index(v), w) for v, w in zip(self.center.coords, self.weights)]
+        k = weighted[self.chart_index][0]
+        terms = {}
+        for exp, c in aligned.terms.items():
+            e = list(exp)
+            e[k] = sum(w * exp[p] for p, w in weighted)
+            check_degree(sum(e))
+            terms[tuple(e)] = c
+        return Polynomial(self.ambient, terms)
+
+    @property
+    def substitution(self) -> dict[str, Polynomial]:
+        """The chart as a substitution u_k -> s^{w_k}, u_j -> s^{w_j} * u_j'."""
+        amb = self.center.ambient
+        return {
+            v: self._pull_aligned(Polynomial.variable(v, amb)) for v in self.center.coords
+        }
+
     def transform_poly(self, f: Polynomial) -> Polynomial:
+        """Pull f back: align it, then apply the chart's monomial map."""
         aligned = self.center.change.to_aligned(f)
-        return aligned.substitute(self.substitution, self.ambient)
+        if aligned.variables != self.center.ambient:
+            aligned = aligned.extend_ambient(self.center.ambient)
+        return self._pull_aligned(aligned)
 
 
 def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
@@ -128,12 +165,6 @@ def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
         ambient = tuple(
             s if v == chart_coord else primes.get(v, v) for v in center.ambient
         )
-        s_poly = Polynomial.variable(s, ambient)
-        sub: dict[str, Polynomial] = {chart_coord: s_poly ** weights[k]}
-        for j, v in enumerate(center.coords):
-            if v == chart_coord:
-                continue
-            sub[v] = (s_poly ** weights[j]) * Polynomial.variable(primes[v], ambient)
         charts.append(
             WeightedChart(
                 center=center,
@@ -142,7 +173,6 @@ def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
                 exceptional=s,
                 weights=tuple(weights),
                 ambient=ambient,
-                substitution=sub,
                 primes=primes,
                 stabilizer_order=weights[k],
             )
@@ -208,90 +238,43 @@ def chart_grading_ok(chart: WeightedChart, transform: PolyIdeal) -> bool:
 # -- chart transition (overlap) check ----------------------------------------
 
 
-def _fractional_substitute(
-    g: Polynomial, images: dict[str, tuple[Fraction, dict[str, Fraction]]]
-):
-    """Evaluate g under a monomial substitution with rational exponents.
-
-    Each image is (coefficient, {var: exponent}); the result is a map from
-    fractional exponent vectors to coefficients.  Used only to verify chart
-    transitions, where roots of unit coordinates appear.
-    """
-    names = sorted({v for _, mono in images.values() for v in mono})
-    out: dict[tuple[Fraction, ...], Fraction] = {}
-    for exp, coeff in g.terms.items():
-        c = coeff
-        total = {n: Fraction(0) for n in names}
-        for v, e in zip(g.variables, exp):
-            if e == 0:
-                continue
-            cf, mono = images[v]
-            c *= cf**e
-            for n, p in mono.items():
-                total[n] += p * e
-        key = tuple(total[n] for n in names)
-        s = out.get(key, Fraction(0)) + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return out
-
-
 def transition_agrees(
     center: CenterPresentation, N: int, i: int, j: int, I: PolyIdeal
 ) -> bool:
     """Controlled transforms on charts i and j agree on the overlap.
 
-    The transition expresses chart-j coordinates as fractional monomials in
-    chart-i coordinates and must carry each transform generator of chart j
-    to the matching generator of chart i times one common monomial unit.
+    From chart j to chart i the transition is a monomial map with rational
+    exponents: s_j = s_i * u_j'^(1/w_j), u_i'' = u_j'^(-w_i/w_j) and
+    u_k'' = u_k' * u_j'^(-w_k/w_j) for the other center coordinates.  On a
+    chart-j exponent vector e, s keeps its exponent, which moves to position
+    i; position j gets (e_s - sum_{k != j} w_k * e_k) / w_j; every other
+    entry is copied (for i = j the map is the identity).  Each transform
+    generator of chart j must map to the matching generator of chart i
+    times one common monomial unit.
     """
     charts = build_charts(center, N)
-    ca, cb = charts[i], charts[j]
-    Ta = controlled_transform(I, ca)
-    Tb = controlled_transform(I, cb)
-    # chart-j coordinates in terms of chart-i coordinates
-    coords = center.coords
-    wj = Fraction(cb.weights[j])
-    uj_prime = ca.primes[coords[j]]
-    images: dict[str, tuple[Fraction, dict[str, Fraction]]] = {}
-    images[cb.exceptional] = (
-        Fraction(1),
-        {ca.exceptional: Fraction(1), uj_prime: Fraction(1) / wj},
-    )
-    for k, v in enumerate(coords):
-        wk = Fraction(ca.weights[k])
-        if v == coords[j]:
-            continue
-        if v == coords[i]:
-            images[cb.primes[v]] = (Fraction(1), {uj_prime: -wk / wj})
-        else:
-            images[cb.primes[v]] = (
-                Fraction(1),
-                {ca.primes[v]: Fraction(1), uj_prime: -wk / wj},
-            )
-    for v in center.ambient:
-        if v not in coords:
-            images[v] = (Fraction(1), {v: Fraction(1)})
+    Ta = controlled_transform(I, charts[i])
+    Tb = controlled_transform(I, charts[j])
+    w = charts[i].weights
+    pos = [center.ambient.index(v) for v in center.coords]
+
+    def to_chart_i(e: tuple[int, ...]) -> tuple[Fraction, ...]:
+        out: list = list(e)
+        if i != j:
+            rest = sum(w[k] * e[pos[k]] for k in range(len(pos)) if k != j)
+            out[pos[i]], out[pos[j]] = out[pos[j]], Fraction(e[pos[j]] - rest, w[j])
+        return tuple(out)
+
     for ga, gb in zip(Ta.generators, Tb.generators):
-        lhs = _fractional_substitute(gb, images)
-        rhs = _fractional_substitute(
-            ga, {v: (Fraction(1), {v: Fraction(1)}) for v in ga.variables}
-        )
-        if not lhs or not rhs:
-            return lhs == rhs
-        # compare up to one common monomial unit factor
-        le, lc = sorted(lhs.items())[0]
-        re_, rc = sorted(rhs.items())[0]
-        shift = tuple(a - b for a, b in zip(le, re_))
-        scale = lc / rc
-        for exp, c in rhs.items():
-            key = tuple(a + b for a, b in zip(exp, shift))
-            if lhs.get(key) != c * scale:
-                return False
-        if len(lhs) != len(rhs):
+        lhs = {to_chart_i(e): c for e, c in gb.terms.items()}
+        if len(lhs) != len(ga.terms):
             return False
+        # compare up to one common monomial unit factor
+        (le, lc), (re_, rc) = min(lhs.items()), min(ga.terms.items())
+        shift = tuple(a - b for a, b in zip(le, re_))
+        for exp, c in ga.terms.items():
+            if lhs.get(tuple(a + b for a, b in zip(exp, shift))) != c * lc / rc:
+                return False
     return True
 
 
@@ -438,32 +421,28 @@ def _has_irrational_singular_fiber_point(fiber: list[Polynomial], var: str) -> b
     return len(g) > 1
 
 
-def _coefficients_in(g: Polynomial, v: str) -> dict[int, Polynomial]:
-    """Collect g as a polynomial in v with coefficients free of v."""
+def _leading_coefficient(g: Polynomial, v: str) -> Polynomial:
+    """The coefficient of the top power of v in g, a polynomial free of v."""
     i = g.variables.index(v)
-    slices: dict[int, dict] = {}
-    for exp, c in g.terms.items():
-        e = list(exp)
-        k = e[i]
-        e[i] = 0
-        slices.setdefault(k, {})[tuple(e)] = c
-    return {k: Polynomial(g.variables, t) for k, t in slices.items()}
+    top = g.degree_in(v)
+    return Polynomial(
+        g.variables,
+        {e[:i] + (0,) + e[i + 1 :]: c for e, c in g.terms.items() if e[i] == top},
+    )
 
 
 def _pseudo_remainder(f: Polynomial, g: Polynomial, v: str) -> Polynomial:
+    """Pseudo-remainder of f by g in v.  Each step cancels the top v-term
+    of f, so deg_v f strictly drops and the loop ends."""
     dg = g.degree_in(v)
-    lc_g = _coefficients_in(g, v).get(dg, Polynomial.zero(g.variables))
+    lc_g = _leading_coefficient(g, v)
     i = f.variables.index(v)
-    guard = 0
     while not f.is_zero() and f.degree_in(v) >= dg:
-        df = f.degree_in(v)
-        lc_f = _coefficients_in(f, v)[df]
         shift = [0] * len(f.variables)
-        shift[i] = df - dg
-        f = lc_g * f - lc_f * Polynomial.monomial(tuple(shift), f.variables) * g
-        guard += 1
-        if guard > 200:
-            raise ResourceLimitError("pseudo-division does not terminate")
+        shift[i] = f.degree_in(v) - dg
+        f = lc_g * f - _leading_coefficient(f, v) * Polynomial.monomial(
+            tuple(shift), f.variables
+        ) * g
     return f
 
 

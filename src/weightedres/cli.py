@@ -1,8 +1,8 @@
 """Command-line interface.
 
 One verb per pipeline; every verb emits JSON by default (rationals as
-strings), `--format text` gives a short human rendering, and `staircase`
-additionally supports `--format svg`.  Exit codes: 0 success (a driver that
+strings), `--format text` gives a short human rendering, and only `staircase`
+also takes `--format svg`.  Exit codes: 0 success (a driver that
 stops early, at an irrational point say, reports it in its `status`), 1
 domain errors (inadmissible input, non-integral center, a `--codim` above
 the number of variables, ...), 2 parse or resource errors.  Every failure
@@ -77,9 +77,9 @@ def _build_parser(cls: type[_Parser]) -> _Parser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(verb, *, help):
+    def add(verb, *, help, formats=("json", "text")):
         p = sub.add_parser(verb, help=help)
-        p.add_argument("--format", choices=("json", "text", "svg"), default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--output", default=None, help="write the result to a file")
         return p
 
@@ -99,12 +99,12 @@ def _build_parser(cls: type[_Parser]) -> _Parser:
 
     p = add("principalize", help="iterated weighted blowups until the ideal is trivial")
     p.add_argument("ideal")
-    p.add_argument("--max-steps", type=int, default=10)
+    p.add_argument("--max-steps", type=_positive_int, default=10)
 
     p = add("embed-resolve", help="strict-transform resolution of a subscheme")
     p.add_argument("ideal")
     p.add_argument("--codim", type=int, required=True)
-    p.add_argument("--max-steps", type=int, default=10)
+    p.add_argument("--max-steps", type=_positive_int, default=10)
 
     p = add("tube", help="tube algebra of a center or a bare width")
     p.add_argument("input", help="a center like [x^2,y^3] or a width like (5,7)")
@@ -114,7 +114,11 @@ def _build_parser(cls: type[_Parser]) -> _Parser:
     p.add_argument("--root", type=int, required=True, help="the root order N")
     p.add_argument("--degree", type=int, default=None)
 
-    p = add("staircase", help="staircase diagram of a two-entry width")
+    p = add(
+        "staircase",
+        help="staircase diagram of a two-entry width",
+        formats=("json", "text", "svg"),
+    )
     p.add_argument("width")
     p.add_argument("--overlay", default=None)
 

@@ -178,12 +178,7 @@ class Polynomial:
         self._check_ambient(other)
         if self.is_zero() or other.is_zero():
             return Polynomial.zero(self.variables)
-        cap = degree_cap()
-        if self.total_degree() + other.total_degree() > cap:
-            raise ResourceLimitError(
-                f"product degree {self.total_degree() + other.total_degree()} "
-                f"exceeds cap {cap}"
-            )
+        check_degree(self.total_degree() + other.total_degree())
         terms: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -403,6 +398,15 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+def check_degree(degree: int) -> None:
+    """Raise ResourceLimitError when a product of this total degree would
+    exceed the current degree cap; `*` and the weighted-blowup chart
+    pullback both apply this one rule."""
+    cap = degree_cap()
+    if degree > cap:
+        raise ResourceLimitError(f"product degree {degree} exceeds cap {cap}")
 
 
 def power_product(

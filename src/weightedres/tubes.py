@@ -505,10 +505,13 @@ def tubular_blowup_check(
     """Chart equality of the tubular blowup against the strict transform.
 
     Chart-wise, the blowup of the tubular Rees algebra divides each pulled
-    back generator of Z exactly by the exceptional power predicted by its
-    valuation; the ambient strict transform divides by the maximal power.
-    The two coincide precisely when the tube controls Z, which is the
-    content of the comparison.
+    back generator g of Z by s^(N*nu(g)), the exceptional power predicted by
+    its valuation; the ambient strict transform divides by the maximal
+    power.  The chart map is monomial and injective on exponents, so
+    N*nu(g) is exactly the least s-power of the pulled-back g and the two
+    always coincide: for a center and a root order N it accepts, this
+    returns True whatever Z is, so it does not test whether the tube
+    controls Z.
     """
     charts = build_charts(center, N)
     for chart in charts:

@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weightedres import (
     MultiOrder,
@@ -28,8 +30,11 @@ from weightedres.errors import (
     AdmissibilityError,
     AmbientMismatchError,
     DomainError,
+    ResourceLimitError,
     set_degree_cap,
+    using_degree_cap,
 )
+from weightedres.poly import Polynomial
 from weightedres.textio import parse_polynomial
 from weightedres.lattice import LatticeIdeal
 from weightedres.textio import parse_center
@@ -83,6 +88,61 @@ def test_controlled_transform_of_the_flagship_example():
     assert [str(g) for g in Tx.generators] == ["1 + s*y'^3 + y'^7"]
     Ty = controlled_transform(I, y_chart)
     assert [str(g) for g in Ty.generators] == ["1 + x'^3*s + x'^5"]
+
+
+ORACLE_CENTERS = [
+    parse_center(text, ("x", "y", "z"))
+    for text in (
+        "[x^5, y^7]",
+        "[(x + y^2)^3, y^7]",  # a shear
+        "[x^4, y^(16/3), z^(32/5)]",
+        "[(x + y*z)^2, y^3, z^4]",  # a shear on a three-coordinate center
+        "[z^2, x^3]",
+    )
+]
+
+
+@st.composite
+def oracle_polynomials(draw):
+    names = draw(st.permutations(("x", "y", "z")))
+    exps = st.tuples(*[st.integers(0, 4)] * 3)
+    terms = draw(st.dictionaries(exps, st.integers(-5, 5), min_size=1, max_size=4))
+    return Polynomial(names, terms)
+
+
+def _pullback_or_cap(pull):
+    try:
+        return pull()
+    except ResourceLimitError:
+        return ResourceLimitError
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    oracle_polynomials(),
+    st.sampled_from(ORACLE_CENTERS),
+    st.one_of(st.integers(1, 24), st.just(DEFAULT_DEGREE_CAP)),
+)
+def test_chart_pullback_matches_the_substitution(f, center, cap):
+    # the monomial-map pullback against the polynomial substitution it
+    # replaces: both return the same polynomial or both hit the degree cap,
+    # under the drawn cap and on either side of the pullback's degree
+    for chart in build_charts(center, minimal_root(center.exponents)):
+        images = chart.substitution
+        s = Polynomial.variable(chart.exceptional, chart.ambient)
+        for v, w in zip(center.coords, chart.weights):
+            prime = chart.primes.get(v)
+            unit = Polynomial.variable(prime, chart.ambient) if prime else s**0
+            assert images[v] == s**w * unit
+        with using_degree_cap(10**6):
+            top = chart.transform_poly(f).total_degree()
+        for c in {cap, max(1, top - 1), max(1, top)}:
+            with using_degree_cap(c):
+                new = _pullback_or_cap(lambda: chart.transform_poly(f))
+                old = _pullback_or_cap(
+                    lambda: center.change.to_aligned(f).substitute(images, chart.ambient)
+                )
+            assert new == old
 
 
 def test_controlled_transform_trivial():
@@ -362,10 +422,17 @@ def test_mixed_weight_one_center_blowup():
 
 
 def test_chart_transition_compatibility():
-    I = parse_ideal("x^5 + x^3*y^3 + y^7")
-    J = multiorder(I).center
-    assert transition_agrees(J, 35, 0, 1, I)
-    assert transition_agrees(J, 35, 1, 0, I)
+    for text in (
+        "x^5 + x^3*y^3 + y^7",
+        "x^4, x*y^4, x^2*y*z^2",  # three charts, N = 32
+        "x^5 + x^3*y^3 + y^8",  # a fractional entry, N = 15
+        "(x+y^2)^3 + y^7",  # a sheared center
+    ):
+        I = parse_ideal(text)
+        res = multiorder(I)
+        N = minimal_root(res.mord)
+        for i, j in itertools.product(range(len(res.center.coords)), repeat=2):
+            assert transition_agrees(res.center, N, i, j, I), (text, i, j)
 
 
 def test_stacky_grading_and_stabilizers():

@@ -214,6 +214,21 @@ def test_usage_errors_are_parse_error_documents(capsys, argv):
     parse_error(capsys, argv)
 
 
+@pytest.mark.parametrize("steps", ["-1", "0"])
+@pytest.mark.parametrize(
+    "command", [["principalize", "x^2"], ["embed-resolve", "x^2", "--codim", "1"]]
+)
+def test_max_steps_must_be_positive(capsys, command, steps):
+    assert "--max-steps" in parse_error(capsys, [*command, "--max-steps", steps])
+
+
+@pytest.mark.parametrize(
+    "command", [["mord", "x^2"], ["principalize", "x^2"], ["tube", "(2,3)"]]
+)
+def test_only_staircase_takes_svg(capsys, command):
+    assert "--format" in parse_error(capsys, [*command, "--format", "svg"])
+
+
 @pytest.mark.parametrize("target", ["missing/f.json", "."])
 def test_unwritable_output_is_a_parse_error(tmp_path, capsys, target):
     parse_error(capsys, ["mord", "x^2", "--output", str(tmp_path / target)])
