@@ -46,6 +46,9 @@ from .poly import Polynomial, PolyIdeal, check_degree, fresh_name
 # largest integral leading or trailing coefficient whose divisors the
 # rational-root search enumerates (about 10^6 trial divisions each)
 ROOT_SEARCH_BOUND = 10**12
+# most candidate values of one variable the fiber-point search combines; with
+# more, only the chart origin is tracked
+FIBER_CANDIDATE_BOUND = 8
 
 
 def minimal_root(d: MultiOrder) -> int:
@@ -330,28 +333,31 @@ class PrincipalizationTrace:
         return len(self.steps)
 
 
-def _rational_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
-    """Rational roots of a univariate polynomial given as degree -> coeff.
+def _axis_profile(g: Polynomial, var: str) -> list[Fraction]:
+    """Dense coefficients, lowest degree first, of the terms of g in which no
+    variable but `var` occurs: g restricted to the `var` axis.  The last entry
+    is nonzero; the zero polynomial gives the empty list."""
+    i = g.variables.index(var)
+    axis = {e[i]: c for e, c in g.terms.items() if sum(e) == e[i]}
+    return [axis.get(k, Fraction(0)) for k in range(max(axis, default=-1) + 1)]
 
-    Candidates p/q come from trial division of the integral leading and
-    trailing coefficients, up to ROOT_SEARCH_BOUND.
-    """
-    if not coeffs:
+
+def _horner(p: list, r: Fraction) -> tuple[list, Fraction]:
+    """Synthetic division of the dense p by (x - r): (quotient, p(r))."""
+    values = list(itertools.accumulate(reversed(p), lambda acc, c: acc * r + c))
+    return values[-2::-1], values[-1]
+
+
+def _rational_roots(p: list[Fraction]) -> list[Fraction]:
+    """Rational roots, ascending, of the dense p; a constant has none.
+    Candidates +-a/b come from trial division of the integral trailing and
+    leading coefficients once the root 0 is split off, up to ROOT_SEARCH_BOUND."""
+    if len(p) < 2:
         return []
-    lcm = 1
-    for c in coeffs.values():
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = {k: int(c * lcm) for k, c in coeffs.items()}
-    degs = sorted(ints)
-    low = degs[0]
-    ints = {k - low: v for k, v in ints.items()}
-    roots = []
-    if low > 0:
-        roots.append(Fraction(0))
-    trailing = abs(ints.get(0, 0))
-    leading = abs(ints[max(ints)])
-    if trailing == 0:
-        return roots
+    low = next(k for k, c in enumerate(p) if c)
+    lcm = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * lcm) for c in p[low:]]
+    trailing, leading = abs(ints[0]), abs(ints[-1])
     if max(trailing, leading) > ROOT_SEARCH_BOUND:
         raise ResourceLimitError(
             f"rational-root search needs the divisors of {max(trailing, leading)}, "
@@ -368,19 +374,14 @@ def _rational_roots(coeffs: dict[int, Fraction]) -> list[Fraction]:
             i += 1
         return sorted(set(out))
 
-    for p in divisors(trailing):
-        for q in divisors(leading):
+    roots = {Fraction(0)} if low else set()
+    for a in divisors(trailing):
+        for b in divisors(leading):
             for sign in (1, -1):
-                r = Fraction(sign * p, q)
-                if sum(c * r**k for k, c in ints.items()) == 0 and r not in roots:
-                    roots.append(r)
+                r = Fraction(sign * a, b)
+                if _horner(ints, r)[1] == 0:
+                    roots.add(r)
     return sorted(roots)
-
-
-def _univariate_profile(g: Polynomial, var: str) -> dict[int, Fraction]:
-    """Degree -> coefficient of g, whose only variable can be `var`."""
-    i = g.variables.index(var)
-    return {exp[i]: c for exp, c in g.terms.items()}
 
 
 def _monic_remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -406,18 +407,15 @@ def _has_irrational_singular_fiber_point(fiber: list[Polynomial], var: str) -> b
     """
     if len(fiber) != 1:
         return False
-    prof = _univariate_profile(fiber[0], var)
-    p = [prof.get(k, Fraction(0)) for k in range(max(prof) + 1)]
+    p = _axis_profile(fiber[0], var)
     g, b = p, [k * c for k, c in enumerate(p)][1:]
     while b:
         g, b = b, _monic_remainder(g, b)
-    for r in _rational_roots({k: c for k, c in enumerate(g) if c}):
-        while len(g) > 1:
-            # synthetic division by (var - r); the last value is g(r)
-            values = list(itertools.accumulate(reversed(g), lambda acc, c: acc * r + c))
-            if values[-1] != 0:
-                break
-            g = values[-2::-1]
+    for r in _rational_roots(g):
+        q, value = _horner(g, r)
+        while value == 0:
+            g = q
+            q, value = _horner(g, r)
     return len(g) > 1
 
 
@@ -461,58 +459,42 @@ def _eliminate_variable(fiber: list[Polynomial], u: str, v: str) -> list[Fractio
             f, g = g, r
     except ResourceLimitError:
         return []
-    if g.is_zero() or u not in g.support():
-        return []
-    return _rational_roots(_univariate_profile(g, u))
+    return _rational_roots(_axis_profile(g, u))
 
 
 def _fiber_points(
     transform: PolyIdeal, chart: WeightedChart
-) -> tuple[list[dict[str, Fraction]], bool]:
+) -> tuple[list[tuple[tuple[str, Fraction], ...]], bool]:
     """Rational points on the exceptional divisor where the transform
-    vanishes: the chart origin, axis-restricted rational roots, and for
-    two-variable fibers the roots of pairwise eliminants.
-    Returns (points, irrational_flag)."""
+    vanishes: the chart origin (), axis-restricted rational roots, and for
+    two-variable fibers the roots of pairwise eliminants, each point as its
+    sorted nonzero (variable, value) pairs.  With more than
+    FIBER_CANDIDATE_BOUND candidate values for one variable only the origin
+    is returned.  Returns (points, irrational_flag)."""
     s = chart.exceptional
     fiber = [g.restrict(s) for g in transform.generators]
     fiber = [g for g in fiber if not g.is_zero()]
-    points: list[dict[str, Fraction]] = [dict()]
     active = sorted(
         {v for g in fiber for v in g.support() if v != s},
         key=chart.ambient.index,
     )
-    irrational = False
-    if len(active) == 1 and fiber:
-        irrational = _has_irrational_singular_fiber_point(fiber, active[0])
-    # per-variable candidate values from axis-restricted root searches
-    candidates: dict[str, set[Fraction]] = {v: {Fraction(0)} for v in active}
+    irrational = len(active) == 1 and _has_irrational_singular_fiber_point(
+        fiber, active[0]
+    )
+    candidates = {v: {Fraction(0)} for v in active}
     for v in active:
         for g in fiber:
-            g0 = g
-            for other in active:
-                if other != v:
-                    g0 = g0.restrict(other)
-            if g0.is_zero() or v not in g0.support():
-                continue
-            candidates[v].update(_rational_roots(_univariate_profile(g0, v)))
+            candidates[v].update(_rational_roots(_axis_profile(g, v)))
     if len(active) == 2 and len(fiber) >= 2:
         u, v = active
         candidates[u].update(_eliminate_variable(fiber, u, v))
         candidates[v].update(_eliminate_variable(fiber, v, u))
-    seen = {()}
-    if active and all(len(candidates[v]) <= 8 for v in active):
-        combos = itertools.product(*(sorted(candidates[v]) for v in active))
-    else:
-        combos = iter(())
-    for combo in combos:
-        candidate = {v: r for v, r in zip(active, combo) if r != 0}
-        if not candidate:
-            continue
-        if all(h.evaluate(candidate) == 0 for h in fiber):
-            key = tuple(sorted(candidate.items()))
-            if key not in seen:
-                seen.add(key)
-                points.append(candidate)
+    points = [()]
+    if all(len(candidates[v]) <= FIBER_CANDIDATE_BOUND for v in active):
+        for combo in itertools.product(*(sorted(candidates[v]) for v in active)):
+            point = {v: r for v, r in zip(active, combo) if r != 0}
+            if point and all(h.evaluate(point) == 0 for h in fiber):
+                points.append(tuple(sorted(point.items())))
     return points, irrational
 
 
@@ -638,12 +620,11 @@ def _run_driver(
             points, irrational = _fiber_points(T, chart)
             irrational_hit = irrational_hit or irrational
             tracked = []
-            for pt in points:
-                coords = tuple(sorted(pt.items()))
+            for coords in points:
                 where = ",".join(f"{v}={r}" for v, r in coords)
                 tracked.append(
                     track(
-                        T.translate(pt) if pt else T,
+                        T.translate(dict(coords)),
                         f"{label}/c{chart.chart_index}@{where}",
                         coords,
                     )

@@ -96,17 +96,6 @@ class CoordinateChange:
     def to_original_ideal(self, I: PolyIdeal) -> PolyIdeal:
         return PolyIdeal(I.variables, [self.to_original(g) for g in I.generators])
 
-    def __str__(self) -> str:
-        if not self.steps:
-            return "identity"
-        bits = []
-        for s in self.steps:
-            rhs = Polynomial.variable(s.var, self.variables).scale(s.coeff) + (
-                s.tail.extend_ambient(self.variables)
-            )
-            bits.append(f"{s.var} <- {rhs}")
-        return "; ".join(bits)
-
 
 class CenterPresentation:
     """A weighted center [v_1^{d_1}, ..., v_m^{d_m}] plus its aligning change.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from contextvars import ContextVar, Token
+from contextvars import ContextVar
 
 DEFAULT_DEGREE_CAP = 64
 
@@ -92,17 +92,12 @@ def degree_cap() -> int:
     return _degree_cap.get()
 
 
-def set_degree_cap(cap: int) -> Token[int]:
-    """Set the cap in the current context; the token restores the old one."""
-    if cap < 1:
-        raise ValueError("degree cap must be positive")
-    return _degree_cap.set(cap)
-
-
 @contextmanager
 def using_degree_cap(cap: int):
     """Run the body under `cap`; the previous cap is back on exit."""
-    token = set_degree_cap(cap)
+    if cap < 1:
+        raise ValueError("degree cap must be positive")
+    token = _degree_cap.set(cap)
     try:
         yield
     finally:

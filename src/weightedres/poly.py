@@ -40,6 +40,12 @@ def _display_key(exp: Exponent):
     return (sum(exp), tuple(-e for e in exp))
 
 
+def monomial_str(names, exponents) -> str:
+    """`x^2*y` for exponents (2, 1) on the names (x, y); the empty product is 1."""
+    parts = (f"{v}^{e}" if e > 1 else v for v, e in zip(names, exponents) if e)
+    return "*".join(parts) or "1"
+
+
 class Polynomial:
     """A sparse polynomial over Q with named variables."""
 
@@ -376,15 +382,9 @@ class Polynomial:
             return "0"
         parts: list[str] = []
         for exp, coeff in self.sorted_terms():
-            factors = []
-            for name, e in zip(self.variables, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
+            mono = monomial_str(self.variables, exp)
             c = coeff if not parts else abs(coeff)
-            if not mono:
+            if not any(exp):
                 body = str(c)
             elif abs(c) == 1:
                 body = mono if c > 0 else f"-{mono}"

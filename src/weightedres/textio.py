@@ -23,7 +23,7 @@ from typing import Iterable
 from .centers import AlignStep, CenterPresentation, CoordinateChange
 from .errors import ParseError
 from .lattice import MultiOrder
-from .poly import Polynomial, PolyIdeal
+from .poly import Polynomial, PolyIdeal, monomial_str
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[-+*^()/,\[\]|]))"
@@ -365,12 +365,6 @@ def invariant_json(result) -> dict:
             for step in result.chain
         ],
     }
-
-
-def monomial_str(names, exponents) -> str:
-    """`x^2*y` for exponents (2, 1) on the names (x, y); the empty product is 1."""
-    parts = (f"{v}^{e}" if e > 1 else v for v, e in zip(names, exponents) if e)
-    return "*".join(parts) or "1"
 
 
 def ideal_json(I: PolyIdeal) -> list[str]:

@@ -69,7 +69,12 @@ class TubeAlgebra:
         return any(_dominates(a, r) for r in self.relations)
 
     def basis(self) -> list[Exponent]:
-        """Parameter monomials surviving the relations (must be finite)."""
+        """Parameter monomials surviving the relations (must be finite).
+
+        The survivors are closed under lowering an exponent, so over each
+        prefix of the first n-1 exponents the last one runs below the least
+        last entry of a relation whose first n-1 entries the prefix dominates.
+        """
         bounds = []
         for i in range(len(self.params)):
             axis = [r[i] for r in self.relations if all(e == 0 for j, e in enumerate(r) if j != i)]
@@ -78,11 +83,12 @@ class TubeAlgebra:
                     f"parameter {self.params[i]} is not nilpotent: no pure power relation"
                 )
             bounds.append(min(axis))
-        out = [
-            a
-            for a in itertools.product(*(range(b) for b in bounds))
-            if not self.kills(a)
-        ]
+        if not bounds:
+            return [] if self.kills(()) else [()]
+        out = []
+        for prefix in itertools.product(*(range(b) for b in bounds[:-1])):
+            top = min(r[-1] for r in self.relations if _dominates(prefix, r[:-1]))
+            out.extend(prefix + (e,) for e in range(top))
         out.sort(key=lambda t: (sum(t), tuple(-e for e in t)))
         return out
 

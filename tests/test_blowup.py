@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,6 @@ from weightedres.errors import (
     AmbientMismatchError,
     DomainError,
     ResourceLimitError,
-    set_degree_cap,
     using_degree_cap,
 )
 from weightedres.poly import Polynomial
@@ -342,7 +342,7 @@ def test_bivariate_fiber_points_include_non_axis_zeros():
     fiber_system = parse_ideal("u^2 + v^2 - 25, u*v - 12", amb)
     chart_stub = type("Stub", (), {"exceptional": "s", "ambient": amb})()
     points, irrational = _fiber_points(fiber_system, chart_stub)
-    found = {tuple(sorted((k, int(x)) for k, x in p.items())) for p in points if p}
+    found = {tuple((k, int(x)) for k, x in p) for p in points if p}
     assert found == {
         (("u", 3), ("v", 4)),
         (("u", 4), ("v", 3)),
@@ -372,12 +372,43 @@ def test_rational_root_search_refuses_huge_coefficients():
     from weightedres.blowup import ROOT_SEARCH_BOUND, _rational_roots
     from weightedres.errors import ResourceLimitError
 
-    assert _rational_roots({0: F(-ROOT_SEARCH_BOUND), 2: F(1)}) == [
+    assert _rational_roots([F(-ROOT_SEARCH_BOUND), F(0), F(1)]) == [
         F(-(10**6)),
         F(10**6),
     ]
     with pytest.raises(ResourceLimitError):
-        _rational_roots({0: F(-(ROOT_SEARCH_BOUND + 1)), 3: F(1)})
+        _rational_roots([F(-(ROOT_SEARCH_BOUND + 1)), F(0), F(0), F(1)])
+
+
+def test_root_search_agrees_with_sympy():
+    # seeded products over Q of rational linear factors and irreducible
+    # quadratics or cubics, each to a power 1-3, times a rational scalar
+    sympy = pytest.importorskip("sympy")
+    from weightedres.blowup import _has_irrational_singular_fiber_point, _rational_roots
+
+    u = sympy.Symbol("u")
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(60):
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                f = rng.randint(1, 3) * u - rng.randint(-3, 3)
+            else:
+                d = rng.choice((2, 3))
+                f = rng.randint(1, 3) * u**d + sum(rng.randint(-3, 3) * u**k for k in range(d))
+                while not sympy.Poly(f, u).is_irreducible:
+                    f += rng.randint(-3, 3)
+            factors.append(f ** rng.randint(1, 3))
+        scalar = sympy.Rational(rng.randint(1, 4), rng.randint(1, 4))
+        P = sympy.Poly(scalar * sympy.Mul(*factors), u, domain="QQ")
+        dense = [F(int(c.p), int(c.q)) for c in reversed(P.all_coeffs())]
+        assert _rational_roots(dense) == sorted(F(int(r.p), int(r.q)) for r in P.ground_roots())
+        fiber = [Polynomial(("s", "u"), {(0, k): c for k, c in enumerate(dense)})]
+        expected = any(g.degree() >= 2 and m >= 2 for g, m in P.factor_list()[1])
+        assert _has_irrational_singular_fiber_point(fiber, "u") is expected, P
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def test_divisor_fallback_for_unalignable_regular_points():
@@ -397,11 +428,8 @@ def test_fiber_elimination_gives_up_under_a_small_degree_cap():
         parse_polynomial("x^2*y^3 + y - 1", amb),
         parse_polynomial("x^3*y^2 + x*y + 2", amb),
     ]
-    set_degree_cap(6)  # the pseudo-remainder sequence needs degree 8
-    try:
+    with using_degree_cap(6):  # the pseudo-remainder sequence needs degree 8
         assert _eliminate_variable(fiber, "x", "y") == []
-    finally:
-        set_degree_cap(DEFAULT_DEGREE_CAP)
 
 
 def test_irrational_singular_point_is_a_typed_status():

@@ -161,18 +161,13 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_degree_cap_from_environment(monkeypatch, capsys):
-    from weightedres.errors import DEFAULT_DEGREE_CAP, set_degree_cap
-
-    try:
-        monkeypatch.setenv("WEIGHTEDRES_DEGREE_CAP", "8")
-        code, out = run(capsys, "mord", "x^9 + y^10")
-        assert code == 2
-        assert json.loads(out)["error"]["code"] == "resource-cap"
-        monkeypatch.delenv("WEIGHTEDRES_DEGREE_CAP")
-        code, _ = run(capsys, "mord", "x^9 + y^10")
-        assert code == 0
-    finally:
-        set_degree_cap(DEFAULT_DEGREE_CAP)
+    monkeypatch.setenv("WEIGHTEDRES_DEGREE_CAP", "8")
+    code, out = run(capsys, "mord", "x^9 + y^10")
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "resource-cap"
+    monkeypatch.delenv("WEIGHTEDRES_DEGREE_CAP")
+    code, _ = run(capsys, "mord", "x^9 + y^10")
+    assert code == 0
 
 
 def test_degree_cap_of_a_call_is_gone_when_it_returns(capsys):
@@ -325,14 +320,9 @@ def run_batch(tmp_path, capsys, text, *outer):
 
 
 def test_batch_lines_inherit_the_outer_degree_cap(tmp_path, capsys):
-    from weightedres.errors import DEFAULT_DEGREE_CAP, set_degree_cap
-
-    try:
-        code, lines = run_batch(
-            tmp_path, capsys, 'mord "x^40*y + y^41"\n', "--degree-cap", "5"
-        )
-    finally:
-        set_degree_cap(DEFAULT_DEGREE_CAP)
+    code, lines = run_batch(
+        tmp_path, capsys, 'mord "x^40*y + y^41"\n', "--degree-cap", "5"
+    )
     assert code == 2
     assert json.loads(lines[0])["error"]["code"] == "resource-cap"
 

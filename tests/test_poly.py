@@ -12,7 +12,7 @@ from weightedres import (
     parse_ideal,
     parse_polynomial,
 )
-from weightedres.errors import degree_cap, set_degree_cap
+from weightedres.errors import using_degree_cap
 
 VARS = ("x", "y")
 
@@ -113,13 +113,15 @@ def test_order_examples():
 
 
 def test_degree_cap_stops_runaway_products():
-    old = degree_cap()
-    try:
-        set_degree_cap(16)
+    with using_degree_cap(16):
         with pytest.raises(ResourceLimitError):
             _ = P("x^9") * P("x^9")
-    finally:
-        set_degree_cap(old)
+
+
+def test_degree_cap_must_be_positive():
+    with pytest.raises(ValueError):
+        with using_degree_cap(0):
+            pass
 
 
 # -- property tests -----------------------------------------------------------

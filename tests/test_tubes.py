@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weightedres import (
     DomainError,
@@ -25,7 +27,7 @@ from weightedres import (
     verify_split_tube,
     width,
 )
-from weightedres.errors import NotATubeError
+from weightedres.errors import NotATubeError, UnrepresentableError
 from weightedres.textio import parse_center
 from weightedres.tubes import TubeInvariant, tube_invariant_compare
 
@@ -63,6 +65,32 @@ def test_normal_cone_level_counts():
     assert by_degree == LatticeIdeal(d).complement_by_degree()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 3).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.none() | st.integers(0, 5), min_size=n, max_size=n),
+            st.lists(st.tuples(*[st.integers(0, 5)] * n), max_size=5),
+        )
+    )
+)
+def test_basis_matches_the_brute_force_filter(drawn):
+    # pure powers (None: the parameter has none) plus mixed relations with at
+    # least two nonzero entries; a zero pure power kills everything
+    pure, mixed = drawn
+    n = len(pure)
+    relations = [tuple(p if j == i else 0 for j in range(n)) for i, p in enumerate(pure) if p is not None]
+    relations += [r for r in mixed if sum(map(bool, r)) >= 2]
+    A = TubeAlgebra((), tuple(f"t{i + 1}" for i in range(n)), tuple(relations))
+    if None in pure and 0 not in pure:
+        with pytest.raises(UnrepresentableError):
+            A.basis()
+        return
+    box = itertools.product(range(6), repeat=n)
+    survivors = [a for a in box if not any(all(x >= y for x, y in zip(a, r)) for r in relations)]
+    assert A.basis() == sorted(survivors, key=lambda t: (sum(t), tuple(-e for e in t)))
+
+
 # -- the split-tube axioms ---------------------------------------------------------
 
 
@@ -90,8 +118,6 @@ def test_width_rejects_non_staircases():
 def test_verify_over_a_polynomial_base_with_base_coefficients():
     # candidates whose complement products pick up base coefficients fall
     # outside the checked linear-algebra class and fail with a typed error
-    from weightedres.errors import UnrepresentableError
-
     A = TubeAlgebra(("x",), ("t",), ((3,),))
     amb = A.ambient()
     t = Polynomial.variable("t", amb)
