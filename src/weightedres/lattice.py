@@ -11,9 +11,12 @@ To each tuple belongs the lattice ideal
     I_d = { a in N^n : a_1/d_1 + ... + a_n/d_n >= 1 },
 
 an upward-closed set whose finite antichain of minimal elements is the
-staircase drawn by the CLI.  The dichotomy implemented by
-`dominating_sequence` states that d fails the witness condition exactly when
-some strictly larger tuple d' has I_d contained in I_{d'}.
+staircase drawn by the CLI.  With L the lcm of the entries' numerators and
+w_j = L/d_j, a lies in I_d exactly when w_1*a_1 + ... + w_n*a_n >= L; one
+integer walk (`_columns`) yields the generators, complement and witnesses.
+The dichotomy implemented by `dominating_sequence` states that d fails the
+witness condition exactly when some strictly larger tuple d' has I_d
+contained in I_{d'}.
 
 Comparison convention: tuples compare lexicographically; when one tuple is a
 proper prefix of the other the shorter tuple is GREATER (think of padding
@@ -81,10 +84,6 @@ class MultiOrder:
     def __hash__(self) -> int:
         return hash(self.entries)
 
-    def weights(self) -> tuple[Fraction, ...]:
-        """The reciprocal tuple w = d^{-1}."""
-        return tuple(Fraction(1) / e for e in self.entries)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
@@ -109,44 +108,47 @@ def mord_compare(a: MultiOrder, b: MultiOrder) -> int:
     return GT if len(a) < len(b) else LT
 
 
-def _validate_weights(d: MultiOrder) -> tuple[Fraction, ...]:
+def _scaled(d: MultiOrder) -> tuple[int, tuple[int, ...]]:
+    """L = lcm of the numerators and the integer weights w_j = L/d_j."""
     if d.is_zero():
         raise InvalidMultiOrderError("the zero invariant has no lattice data")
-    return d.weights()
+    L = math.lcm(*(e.numerator for e in d.entries))
+    return L, tuple(L * e.denominator // e.numerator for e in d.entries)
+
+
+def _columns(L: int, w: tuple[int, ...], p: tuple[int, ...] = (), v: int = 0):
+    """Every prefix p in N^j (j < n) of scaled value v < L, with the least
+    next entry c = ceil((L - v)/w_j) that makes p + (c,) a member.  A prefix
+    comes after its extensions, whose entry j is below c, so the candidates
+    p + (c, 0, ..., 0) come in increasing lexicographic order."""
+    j = len(p)
+    if j == len(w):
+        return
+    c = -((v - L) // w[j])
+    if j + 1 < len(w):
+        for e in range(c):
+            yield from _columns(L, w, p + (e,), v + e * w[j])
+    yield p, v, c
 
 
 def witness_vectors(d: MultiOrder, i: int) -> list[tuple[tuple[int, ...], bool]]:
-    """All a in N^i with sum a_j/d_j = 1, each flagged with a_i != 0.
-
-    The search is exhaustive: a_j <= d_j because each summand is at most 1.
-    """
+    """All a in N^i with sum a_j/d_j = 1, in lexicographic order, each
+    flagged with a_i != 0: the candidates p + (c, 0, ..., 0) of value 1."""
     if not 1 <= i <= len(d):
         raise InvalidMultiOrderError(f"witness index {i} out of range 1..{len(d)}")
-    ws = _validate_weights(d)[:i]
-    out: list[tuple[int, ...]] = []
-
-    def rec(j: int, remaining: Fraction, prefix: tuple[int, ...]):
-        if j == i - 1:
-            # last coordinate: a_j * w_j must equal remaining exactly
-            q = remaining / ws[j]
-            if q.denominator == 1:
-                out.append(prefix + (int(q),))
-            return
-        a = 0
-        while a * ws[j] <= remaining:
-            rec(j + 1, remaining - a * ws[j], prefix + (a,))
-            a += 1
-
-    rec(0, Fraction(1), ())
-    return [(vec, vec[-1] != 0) for vec in out]
+    L, w = _scaled(d)
+    return [
+        (p + (c,) + (0,) * (i - 1 - len(p)), len(p) == i - 1)
+        for p, v, c in _columns(L, w[:i])
+        if v + c * w[len(p)] == L
+    ]
 
 
 def _first_violation(d: MultiOrder) -> int | None:
     """The first prefix length i with no witness having a_i != 0, if any."""
-    for i in range(1, len(d) + 1):
-        if not any(flag for _, flag in witness_vectors(d, i)):
-            return i
-    return None
+    L, w = _scaled(d)
+    hit = {len(p) + 1 for p, v, c in _columns(L, w) if v + c * w[len(p)] == L}
+    return next((i for i in range(1, len(d) + 1) if i not in hit), None)
 
 
 def is_in_mord(d: MultiOrder) -> bool:
@@ -176,65 +178,63 @@ def split_gt1(d: MultiOrder) -> tuple[int, MultiOrder]:
 class LatticeIdeal:
     """The upward-closed exponent set I_d with cached minimal generators."""
 
-    __slots__ = ("weights_tuple", "d", "_minimal")
+    __slots__ = ("d", "_L", "_w", "_minimal")
 
     def __init__(self, d: MultiOrder):
+        L, w = _scaled(d)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "weights_tuple", _validate_weights(d))
+        object.__setattr__(self, "_L", L)
+        object.__setattr__(self, "_w", w)
         object.__setattr__(self, "_minimal", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("LatticeIdeal is immutable")
 
     def arity(self) -> int:
-        return len(self.weights_tuple)
+        return len(self._w)
 
-    def value(self, a: Sequence[int]) -> Fraction:
+    def _scaled_value(self, a: Sequence[int]) -> int:
         if len(a) != self.arity():
             raise InvalidMultiOrderError("exponent arity mismatch")
-        return sum((x * w for x, w in zip(a, self.weights_tuple)), Fraction(0))
+        return sum(x * w for x, w in zip(a, self._w))
+
+    def value(self, a: Sequence[int]) -> Fraction:
+        return Fraction(self._scaled_value(a), self._L)
 
     def contains(self, a: Sequence[int]) -> bool:
-        return self.value(a) >= 1
-
-    def _box(self):
-        """Exponents with a_j <= ceil(d_j).  The box holds every minimal
-        member (a larger single entry already certifies membership) and every
-        non-member (each entry of a non-member is < d_j)."""
-        return itertools.product(*(range(math.ceil(e) + 1) for e in self.d.entries))
+        return self._scaled_value(a) >= self._L
 
     def minimal_generators(self) -> list[tuple[int, ...]]:
-        """The finite antichain of minimal members, found in the box."""
+        """The finite antichain of minimal members, in decreasing
+        lexicographic order."""
         cached = object.__getattribute__(self, "_minimal")
         if cached is not None:
             return list(cached)
-        # I_d is upward closed, so a member a is minimal exactly when no
-        # a - e_j is a member, i.e. value(a) - w_j < 1 for every a_j > 0;
-        # the box is downward closed, so this local test agrees with
-        # minimality among all members of the box
-        ws = self.weights_tuple
+        # the last nonzero entry of a minimal member is the least c over its
+        # prefix p, so a = p + (c, 0, ..., 0) is minimal exactly when no
+        # a - e_k with p_k > 0 is a member; the walk yields them increasing
+        L, ws, n = self._L, self._w, self.arity()
         minimal = [
-            a
-            for a in self._box()
-            if (v := self.value(a)) >= 1 and all(v - w < 1 for x, w in zip(a, ws) if x)
+            p + (c,) + (0,) * (n - 1 - len(p))
+            for p, v, c in _columns(L, ws)
+            if all(v + c * ws[len(p)] - w < L for x, w in zip(p, ws) if x)
         ]
-        minimal.sort(key=lambda t: tuple(-e for e in t))
+        minimal.reverse()
         object.__setattr__(self, "_minimal", tuple(minimal))
         return minimal
 
     def complement(self) -> list[tuple[int, ...]]:
-        """All of N^n \\ I_d, found in the box."""
-        return [a for a in self._box() if not self.contains(a)]
-
-    def complement_count(self) -> int:
-        return len(self.complement())
-
-    def complement_by_degree(self) -> dict[int, int]:
-        """Number of non-members of each total degree."""
-        counts: dict[int, int] = {}
-        for a in self.complement():
-            counts[sum(a)] = counts.get(sum(a), 0) + 1
-        return counts
+        """All of N^n \\ I_d, in lexicographic order: below each prefix of
+        length n - 1 the last entry runs up to its least member."""
+        n = self.arity()
+        if n == 0:
+            return [()]
+        return [
+            p + (e,)
+            for p, v, c in _columns(self._L, self._w)
+            if len(p) == n - 1
+            for e in range(c)
+        ]
 
 
 def dominating_sequence(d: MultiOrder) -> MultiOrder | None:
@@ -243,10 +243,11 @@ def dominating_sequence(d: MultiOrder) -> MultiOrder | None:
 
     The construction follows the dichotomy proof: pick the violating index i,
     move it to the last entry equal to d_i, replace the tail by the constant
-    d_i + eps, and take the first eps in 1, 1/2, 1/3, ... for which every
-    minimal generator of I_d stays a member and the far-region bound
-    eps < C = 1/eps holds (any exponent with all entries >= d_n + C is then
-    automatically a member, so checking the minimal generators is complete).
+    d_i + eps, and take the first eps in 1/2, 1/3, ... for which every
+    minimal generator of I_d stays a member.  Starting below 1 keeps the
+    far-region bound eps < C = 1/eps (any exponent with all entries
+    >= d_n + C is then automatically a member, so checking the minimal
+    generators is complete).
     """
     if d.is_zero():
         raise InvalidMultiOrderError("the zero invariant has no dominating sequence")
@@ -257,12 +258,8 @@ def dominating_sequence(d: MultiOrder) -> MultiOrder | None:
     val = d.entries[violating - 1]
     i = max(j + 1 for j, e in enumerate(d.entries) if e == val)
     gens = LatticeIdeal(d).minimal_generators()
-    m = 1
-    while True:
+    for m in itertools.count(2):
         eps = Fraction(1, m)
-        m += 1
-        if eps >= 1 / eps:  # far-region bound requires eps < C = 1/eps
-            continue
         tail = val + eps
         candidate = MultiOrder(d.entries[: i - 1] + (tail,) * (len(d) - i + 1))
         lattice = LatticeIdeal(candidate)

@@ -44,10 +44,6 @@ from .lattice import LatticeIdeal, MultiOrder, is_in_mord, mord_compare
 from .poly import Exponent, Polynomial, PolyIdeal, power_product
 
 
-def _dominates(a: Exponent, b: Exponent) -> bool:
-    return all(x >= y for x, y in zip(a, b))
-
-
 @dataclass(frozen=True)
 class TubeAlgebra:
     """base[t]/(monomial relations), with optional width metadata."""
@@ -66,29 +62,33 @@ class TubeAlgebra:
         return self.base_vars + self.params
 
     def kills(self, a: Exponent) -> bool:
-        return any(_dominates(a, r) for r in self.relations)
+        return any(all(x >= y for x, y in zip(a, r)) for r in self.relations)
 
     def basis(self) -> list[Exponent]:
         """Parameter monomials surviving the relations (must be finite).
 
-        The survivors are closed under lowering an exponent, so over each
-        prefix of the first n-1 exponents the last one runs below the least
-        last entry of a relation whose first n-1 entries the prefix dominates.
+        The survivors are closed under lowering an exponent.  A walk over
+        prefixes keeps the relations whose leading entries the prefix
+        dominates; the next entry runs below the least entry of a kept
+        relation with no later nonzero entry (the pure power is one).
         """
-        bounds = []
-        for i in range(len(self.params)):
-            axis = [r[i] for r in self.relations if all(e == 0 for j, e in enumerate(r) if j != i)]
-            if not axis:
+        for i, name in enumerate(self.params):
+            if not any(not any(r[:i] + r[i + 1 :]) for r in self.relations):
                 raise UnrepresentableError(
-                    f"parameter {self.params[i]} is not nilpotent: no pure power relation"
+                    f"parameter {name} is not nilpotent: no pure power relation"
                 )
-            bounds.append(min(axis))
-        if not bounds:
+        if not self.params:
             return [] if self.kills(()) else [()]
         out = []
-        for prefix in itertools.product(*(range(b) for b in bounds[:-1])):
-            top = min(r[-1] for r in self.relations if _dominates(prefix, r[:-1]))
-            out.extend(prefix + (e,) for e in range(top))
+        stack = [((), self.relations)]
+        while stack:
+            prefix, kept = stack.pop()
+            j = len(prefix)
+            top = min(r[j] for r in kept if not any(r[j + 1 :]))
+            if j + 1 == len(self.params):
+                out.extend(prefix + (e,) for e in range(top))
+            else:
+                stack.extend((prefix + (e,), [r for r in kept if r[j] <= e]) for e in range(top))
         out.sort(key=lambda t: (sum(t), tuple(-e for e in t)))
         return out
 
@@ -119,18 +119,14 @@ def constant_tube(
     params: Iterable[str] | None = None,
 ) -> TubeAlgebra:
     """The standard tube of the given width over a polynomial base."""
-    if any(e <= 1 for e in width.entries) or not (
-        len(width) == 0 or is_in_mord(width)
-    ):
+    if any(e <= 1 for e in width.entries) or not is_in_mord(width):
         raise DomainError(f"width {width} must have entries > 1 and admit witnesses")
     names = tuple(params) if params is not None else tuple(
         f"t{i+1}" for i in range(len(width))
     )
     if len(names) != len(width):
         raise DomainError("parameter count must match the width length")
-    relations: tuple[Exponent, ...] = ()
-    if len(width):
-        relations = tuple(LatticeIdeal(width).minimal_generators())
+    relations = tuple(LatticeIdeal(width).minimal_generators())
     return TubeAlgebra(tuple(base_vars), names, relations, width)
 
 
@@ -252,16 +248,15 @@ def verify_split_tube(
         return False
 
     # (1): the staircase monomials in the candidates vanish
-    lattice = LatticeIdeal(width) if len(width) else None
-    if lattice is not None:
-        for a in lattice.minimal_generators():
-            if not A.reduce(power_product(cands, a, amb)).is_zero():
-                return False
+    lattice = LatticeIdeal(width)
+    for a in lattice.minimal_generators():
+        if not A.reduce(power_product(cands, a, amb)).is_zero():
+            return False
 
     # (2): the complement monomials in the candidates form a base-module
     # basis; with filtration-respecting candidates this is detected by the
     # invertibility of the product matrix against the algebra's own basis
-    complement = lattice.complement() if lattice is not None else [()]
+    complement = lattice.complement()
     basis = A.basis()
     if len(complement) != len(basis):
         return False
@@ -348,9 +343,7 @@ def tube_center_correspondence(center: CenterPresentation) -> TubeAlgebra:
     tail = center.t_exponents()
     base = tuple(v for v in center.ambient if v not in center.coords)
     params = center.t_coords()
-    relations: tuple[Exponent, ...] = ()
-    if len(tail):
-        relations = tuple(LatticeIdeal(tail).minimal_generators())
+    relations = tuple(LatticeIdeal(tail).minimal_generators())
     return TubeAlgebra(base, params, relations, tail)
 
 
@@ -428,10 +421,9 @@ def tight_presentation_check(
     tube_gens = list(s_part)
     if len(t_part) != len(d):
         raise DomainError("t-part length must match the width")
-    if len(d):
-        t_polys = [Polynomial.variable(v, ambient) for v in t_part]
-        for a in LatticeIdeal(d).minimal_generators():
-            tube_gens.append(power_product(t_polys, a, ambient))
+    t_polys = [Polynomial.variable(v, ambient) for v in t_part]
+    for a in LatticeIdeal(d).minimal_generators():
+        tube_gens.append(power_product(t_polys, a, ambient))
     e_V = n - _linear_rank(tube_gens, ambient)
     gap = e_Z - e_V
     return TightVerdict(

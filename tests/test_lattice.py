@@ -1,9 +1,11 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weightedres import (
     EQ,
@@ -132,8 +134,8 @@ def test_minimal_generators_singleton():
 
 
 def test_complement_counts():
-    assert LatticeIdeal(M(2)).complement_count() == 2
-    assert LatticeIdeal(M(2, 2)).complement_count() == 3
+    assert len(LatticeIdeal(M(2)).complement()) == 2
+    assert len(LatticeIdeal(M(2, 2)).complement()) == 3
     # independent oracle: direct double loop below the line a/5 + b/7 < 1
     count = sum(
         1
@@ -142,7 +144,7 @@ def test_complement_counts():
         if F(a, 5) + F(b, 7) < 1
     )
     assert count == 23
-    assert LatticeIdeal(M(5, 7)).complement_count() == count
+    assert len(LatticeIdeal(M(5, 7)).complement()) == count
 
 
 def test_minimal_generators_form_a_complete_antichain():
@@ -160,6 +162,43 @@ def test_minimal_generators_form_a_complete_antichain():
                 assert any(
                     all(x >= y for x, y in zip(point, g)) for g in gens
                 )
+
+
+def box_oracle(d: MultiOrder):
+    """Minimal generators, complement and witnesses of I_d from the box
+    a_j <= ceil(d_j) with Fraction sums: the box holds every minimal member
+    (a larger single entry already certifies membership), every non-member
+    (each entry of a non-member is < d_j) and every witness."""
+    box = itertools.product(*(range(math.ceil(e) + 1) for e in d.entries))
+    value = {a: sum((F(x) / e for x, e in zip(a, d.entries)), F(0)) for a in box}
+    minimal = [
+        a
+        for a, v in value.items()
+        if v >= 1 and not any(value[a[:k] + (x - 1,) + a[k + 1 :]] >= 1 for k, x in enumerate(a) if x)
+    ]
+    complement = [a for a, v in value.items() if v < 1]
+    witnesses = [
+        [(a[:i], a[i - 1] != 0) for a, v in value.items() if v == 1 and not any(a[i:])]
+        for i in range(1, len(d) + 1)
+    ]
+    return sorted(minimal, reverse=True), complement, witnesses
+
+
+member_widths = st.lists(st.integers(1, 8), max_size=4)
+rational_widths = st.lists(st.builds(F, st.integers(1, 8), st.integers(1, 3)), max_size=4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(member_widths, rational_widths).map(lambda es: MultiOrder(sorted(es))))
+def test_the_staircase_walk_matches_the_box_oracle(d):
+    # integer widths are always members (a_i = d_i witnesses prefix i);
+    # rational ones are members or not
+    lattice = LatticeIdeal(d)
+    minimal, complement, witnesses = box_oracle(d)
+    assert lattice.minimal_generators() == minimal
+    assert lattice.complement() == complement
+    assert [witness_vectors(d, i) for i in range(1, len(d) + 1)] == witnesses
+    assert is_in_mord(d) == all(any(flag for _, flag in ws) for ws in witnesses)
 
 
 # -- dominating sequences -----------------------------------------------------

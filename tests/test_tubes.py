@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from weightedres import (
     verify_split_tube,
     width,
 )
+from weightedres.cli import main
 from weightedres.errors import NotATubeError, UnrepresentableError
 from weightedres.textio import parse_center
 from weightedres.tubes import TubeInvariant, tube_invariant_compare
@@ -50,19 +53,28 @@ def test_constant_tube_width_must_exceed_one():
         constant_tube(MultiOrder((1, 2)))
 
 
+def test_an_empty_width_is_the_base_itself(capsys):
+    for text in ("()", "[x, y]"):
+        assert main(["tube", text]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rank"] == 1 and payload["relations"] == []
+    assert constant_tube(MultiOrder(())).rank() == 1
+    assert verify_split_tube(TubeAlgebra(("x",), (), ()), MultiOrder(()))
+    x = Polynomial.variable("x", ("x", "y"))
+    verdict = tight_presentation_check(PolyIdeal(("x", "y"), []), [x], [], MultiOrder(()))
+    assert (verdict.gap, verdict.s_size, verdict.valid, verdict.tight_exists) == (1, 1, True, False)
+
+
 def test_rank_formula_matches_the_complement_count():
     for entries in ((2,), (2, 3), (5, 7), (5, F(15, 2)), (4, F(16, 3), F(32, 5))):
         d = MultiOrder(entries)
-        assert constant_tube(d).rank() == LatticeIdeal(d).complement_count()
+        assert constant_tube(d).rank() == len(LatticeIdeal(d).complement())
 
 
 def test_normal_cone_level_counts():
     d = MultiOrder((5, 7))
     T = constant_tube(d)
-    by_degree = {}
-    for b in T.basis():
-        by_degree[sum(b)] = by_degree.get(sum(b), 0) + 1
-    assert by_degree == LatticeIdeal(d).complement_by_degree()
+    assert Counter(map(sum, T.basis())) == Counter(map(sum, LatticeIdeal(d).complement()))
 
 
 @settings(max_examples=200, deadline=None)
