@@ -1,9 +1,10 @@
 """Weighted blowup charts and the principalization / resolution drivers.
 
-For a center [u_1^{d_1}, ..., u_m^{d_m}] and the smallest N with every
-N/d_k integral, chart k of the stacky N-th root blowup substitutes
+For a center [u_1^{d_1}, ..., u_m^{d_m}] and a multiple N of the least root
+order L of its grading (L, w_L), chart k of the stacky N-th root blowup
+substitutes
 
-    u_k -> s^{w_k},     u_j -> s^{w_j} * u_j'   (j != k),     w = N/d,
+    u_k -> s^{w_k},     u_j -> s^{w_j} * u_j'   (j != k),     w = (N/L) * w_L,
 
 on the aligned coordinates, with s the exceptional coordinate and the chart
 carrying a residual action of order w_k (recorded, not quotiented: the
@@ -40,7 +41,7 @@ from .errors import (
     ResourceLimitError,
 )
 from .invariant import InvariantResult, multiorder
-from .lattice import LT, LatticeIdeal, MultiOrder, is_in_mord, mord_compare
+from .lattice import LT, LatticeIdeal, MultiOrder, grading, is_in_mord, mord_compare
 from .poly import Polynomial, PolyIdeal, check_degree, fresh_name
 
 # largest integral leading or trailing coefficient whose divisors the
@@ -57,10 +58,7 @@ def minimal_root(d: MultiOrder) -> int:
         raise InvalidMultiOrderError("the zero invariant admits no root order")
     if not is_in_mord(d):
         raise InvalidMultiOrderError(f"{d} fails the witness condition")
-    N = 1
-    for e in d.entries:
-        N = N * e.numerator // math.gcd(N, e.numerator)
-    return N
+    return grading(d)[0]
 
 
 def rees_generators(
@@ -77,7 +75,7 @@ def rees_generators(
     if N < 1:
         raise DomainError(f"the root order N must be positive, got {N}")
     for e in center.exponents:
-        if (Fraction(N) / e).denominator != 1:
+        if N % e.numerator:
             raise DomainError(f"N={N} does not clear the exponent {e}")
     degrees = [degree] if degree is not None else list(range(N + 1))
     out: dict[int, list[tuple[int, ...]]] = {}
@@ -147,12 +145,10 @@ class WeightedChart:
 
 
 def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
-    weights = []
-    for e in center.exponents:
-        w = Fraction(N) / e
-        if w.denominator != 1:
-            raise DomainError(f"N={N} is not a common root order for {center}")
-        weights.append(int(w))
+    L, w = grading(center.exponents)
+    if N % L:
+        raise DomainError(f"N={N} is not a common root order for {center}")
+    weights = [N // L * wj for wj in w]
     charts = []
     for k, chart_coord in enumerate(center.coords):
         taken = list(center.ambient)

@@ -11,9 +11,10 @@ so both directions of the change stay polynomial.
 The valuation nu assigns to a monomial the weighted sum of its exponents on
 the center coordinates (weight 1/d_i, other variables weight 0) and to a
 polynomial the minimum over its terms, computed after rewriting through the
-change.  The rounding of a center is the honest ideal inside it: the
-monomial ideal spanned by the lattice staircase of the exponent tuple,
-mapped back through the change.
+change; on integers, L*nu is the w-weighted exponent sum for the exponent
+tuple's grading (L, w).  The rounding of a center is the honest ideal
+inside it: the monomial ideal spanned by the lattice staircase of the
+exponent tuple, mapped back through the change.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     DomainError,
     InvalidMultiOrderError,
 )
-from .lattice import LatticeIdeal, MultiOrder, witness_vectors
+from .lattice import LatticeIdeal, MultiOrder, grading, witness_vectors
 from .poly import INFINITY, Exponent, Polynomial, PolyIdeal, power_product
 
 
@@ -163,12 +164,6 @@ class CenterPresentation:
     def t_exponents(self) -> MultiOrder:
         return MultiOrder(self.exponents.entries[self.s_count() :])
 
-    def weight_of(self, var: str) -> Fraction:
-        for v, d in zip(self.coords, self.exponents):
-            if v == var:
-                return Fraction(1) / d
-        return Fraction(0)
-
     def coordinate_polynomials(self) -> list[Polynomial]:
         """The center coordinates expressed in the original coordinates."""
         out = []
@@ -209,12 +204,11 @@ class CenterPresentation:
 # -- valuation and admissibility --------------------------------------------
 
 
-def _term_nu(center: CenterPresentation, exp: Exponent, variables) -> Fraction:
-    total = Fraction(0)
-    for name, e in zip(variables, exp):
-        if e:
-            total += e * center.weight_of(name)
-    return total
+def _grader(center: CenterPresentation, variables: tuple[str, ...]):
+    """Coordinate positions in `variables`, L, and the map exponent -> L*nu."""
+    L, w = grading(center.exponents)
+    pos = [variables.index(v) for v in center.coords]
+    return pos, L, lambda exp: sum(wj * exp[i] for i, wj in zip(pos, w))
 
 
 def nu_valuation(f: Polynomial, center: CenterPresentation) -> Fraction | float:
@@ -224,7 +218,8 @@ def nu_valuation(f: Polynomial, center: CenterPresentation) -> Fraction | float:
     g = center.change.to_aligned(f)
     if g.is_zero():
         return INFINITY
-    return min(_term_nu(center, e, g.variables) for e in g.terms)
+    _, L, grade = _grader(center, g.variables)
+    return Fraction(min(map(grade, g.terms)), L)
 
 
 def is_admissible(I: PolyIdeal, center: CenterPresentation) -> bool:
@@ -272,10 +267,6 @@ class LeadingTerm:
     basis: tuple[Exponent, ...]
     rows: tuple[tuple[tuple[Exponent, object], ...], ...] = ()
 
-    def basis_monomials(self, ambient: tuple[str, ...]) -> list[Polynomial]:
-        coords = [Polynomial.variable(v, ambient) for v in self.coords]
-        return [power_product(coords, exp, ambient) for exp in self.basis]
-
     def monomials_involved(self) -> set[Exponent]:
         """Basis exponents hit by some nonzero coefficient of some row."""
         hit: set[Exponent] = set()
@@ -306,18 +297,18 @@ def leading_term_decomposition(
     """
     g = center.change.to_aligned(f)
     amb = g.variables
-    coord_idx = {v: amb.index(v) for v in center.coords}
-    free_idx = [i for i, v in enumerate(amb) if v not in coord_idx]
+    pos, L, grade = _grader(center, amb)
+    free_idx = [i for i in range(len(amb)) if i not in pos]
     out: dict[Exponent, dict[Exponent, Fraction]] = {}
     for exp, coeff in g.terms.items():
-        val = _term_nu(center, exp, amb)
-        if val < 1:
+        val = grade(exp)
+        if val < L:
             raise AdmissibilityError(
-                f"term of valuation {val} < 1: the polynomial is not in the center"
+                f"term of valuation {Fraction(val, L)} < 1: the polynomial is not in the center"
             )
-        if val > 1:
+        if val > L:
             continue
-        key = tuple(exp[coord_idx[v]] for v in center.coords)
+        key = tuple(exp[i] for i in pos)
         free_exp = tuple(exp[i] for i in free_idx)
         out.setdefault(key, {})[free_exp] = coeff
     free_vars = tuple(amb[i] for i in free_idx)

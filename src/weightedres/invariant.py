@@ -277,12 +277,9 @@ def multiorder(I: PolyIdeal) -> InvariantResult:
 # -- independent brute-force oracle for monomial ideals ----------------------
 
 
-_SLACK_CACHE: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
-
-
-def _prefix_slacks(prefix: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    """All positive values 1 - sum a_j/d_j over the natural witness box."""
-    cached = _SLACK_CACHE.get(prefix)
+def _prefix_slacks(prefix: tuple[Fraction, ...], cache: dict) -> tuple[Fraction, ...]:
+    """All positive values 1 - sum a_j/d_j over the natural witness box, memoized in `cache`."""
+    cached = cache.get(prefix)
     if cached is not None:
         return cached
     slacks: set[Fraction] = set()
@@ -300,19 +297,18 @@ def _prefix_slacks(prefix: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
 
     rec(0, Fraction(0))
     result = tuple(sorted(slacks))
-    _SLACK_CACHE[prefix] = result
+    cache[prefix] = result
     return result
 
 
-def _ascending_candidates(prefix: tuple[Fraction, ...], lower: Fraction):
-    """Yield, in ascending order, every possible next entry after `prefix`.
+def _ascending_candidates(slacks: tuple[Fraction, ...], lower: Fraction):
+    """Yield, in ascending order, every possible next entry after the prefix.
 
     A usable next entry d_i must satisfy a witness equation
     sum_{j<i} a_j/d_j + a_i/d_i = 1 with a_i >= 1, so the candidates are
     exactly a_i/slack over the finitely many positive slacks of the prefix.
     The stream is infinite; the caller stops it via a monotone break.
     """
-    slacks = _prefix_slacks(prefix)
     if not slacks:
         return
     # per-slack pointers into the arithmetic progressions a/s, a = 1, 2, ...
@@ -357,6 +353,7 @@ def monomial_center_oracle(I: PolyIdeal) -> InvariantResult:
     nvars = len(I.variables)
 
     best: tuple[MultiOrder, tuple[int, ...]] | None = None
+    slack_cache: dict[tuple[Fraction, ...], tuple[Fraction, ...]] = {}
 
     def admissible(assignment: dict[int, Fraction]) -> bool:
         return all(_monomial_nu(e, assignment) >= 1 for e in exps)
@@ -401,7 +398,7 @@ def monomial_center_oracle(I: PolyIdeal) -> InvariantResult:
             return
         lower = ds[-1] if ds else Fraction(1)
         feasible_cands: list[Fraction] = []
-        for cand in _ascending_candidates(ds, lower):
+        for cand in _ascending_candidates(_prefix_slacks(ds, slack_cache), lower):
             if any(
                 i not in assignment
                 and feasible_with_tail({**assignment, i: cand}, cand)

@@ -11,9 +11,11 @@ To each tuple belongs the lattice ideal
     I_d = { a in N^n : a_1/d_1 + ... + a_n/d_n >= 1 },
 
 an upward-closed set whose finite antichain of minimal elements is the
-staircase drawn by the CLI.  With L the lcm of the entries' numerators and
-w_j = L/d_j, a lies in I_d exactly when w_1*a_1 + ... + w_n*a_n >= L; one
-integer walk (`_columns`) yields the generators, complement and witnesses.
+staircase drawn by the CLI.  `grading` keeps nu(x^a) = sum a_j/d_j on
+integers: with L the lcm of the numerators and w_j = L/d_j, a lies in I_d
+exactly when w_1*a_1 + ... + w_n*a_n >= L.  One integer walk (`_columns`)
+yields the generators, complement and witnesses; center valuations, chart
+weights and tube levels read the same (L, w).
 The dichotomy implemented by `dominating_sequence` states that d fails the
 witness condition exactly when some strictly larger tuple d' has I_d
 contained in I_{d'}.
@@ -108,8 +110,10 @@ def mord_compare(a: MultiOrder, b: MultiOrder) -> int:
     return GT if len(a) < len(b) else LT
 
 
-def _scaled(d: MultiOrder) -> tuple[int, tuple[int, ...]]:
-    """L = lcm of the numerators and the integer weights w_j = L/d_j."""
+def grading(d: MultiOrder) -> tuple[int, tuple[int, ...]]:
+    """L = lcm of the numerators and the integer weights w_j = L/d_j, so
+    that L*nu(x^a) = w_1*a_1 + ... + w_n*a_n.  L is the least root order N
+    with every N/d_j integral, and w the chart weights for N = L."""
     if d.is_zero():
         raise InvalidMultiOrderError("the zero invariant has no lattice data")
     L = math.lcm(*(e.numerator for e in d.entries))
@@ -136,7 +140,7 @@ def witness_vectors(d: MultiOrder, i: int) -> list[tuple[tuple[int, ...], bool]]
     flagged with a_i != 0: the candidates p + (c, 0, ..., 0) of value 1."""
     if not 1 <= i <= len(d):
         raise InvalidMultiOrderError(f"witness index {i} out of range 1..{len(d)}")
-    L, w = _scaled(d)
+    L, w = grading(d)
     return [
         (p + (c,) + (0,) * (i - 1 - len(p)), len(p) == i - 1)
         for p, v, c in _columns(L, w[:i])
@@ -146,7 +150,7 @@ def witness_vectors(d: MultiOrder, i: int) -> list[tuple[tuple[int, ...], bool]]
 
 def _first_violation(d: MultiOrder) -> int | None:
     """The first prefix length i with no witness having a_i != 0, if any."""
-    L, w = _scaled(d)
+    L, w = grading(d)
     hit = {len(p) + 1 for p, v, c in _columns(L, w) if v + c * w[len(p)] == L}
     return next((i for i in range(1, len(d) + 1) if i not in hit), None)
 
@@ -181,7 +185,7 @@ class LatticeIdeal:
     __slots__ = ("d", "_L", "_w", "_minimal")
 
     def __init__(self, d: MultiOrder):
-        L, w = _scaled(d)
+        L, w = grading(d)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_L", L)
         object.__setattr__(self, "_w", w)

@@ -121,7 +121,9 @@ class _Parser:
         if k == "num":
             self.take()
             return int(v)
-        raise ParseError(f"expected an integer exponent, found {v!r}")
+        raise ParseError(
+            f"expected an integer exponent, found {v!r}" if k else "unexpected end of input"
+        )
 
     def atom(self) -> Polynomial:
         k, v = self.peek()
@@ -146,7 +148,7 @@ class _Parser:
             inner = self.expr()
             self.take("sym", ")")
             return inner
-        raise ParseError(f"unexpected token {v!r}")
+        raise ParseError(f"unexpected token {v!r}" if k else "unexpected end of input")
 
 
 def _collect_variables(tokens) -> tuple[str, ...]:
@@ -183,6 +185,14 @@ def _split_top_level(tokens, separator: str) -> list[list]:
     return parts
 
 
+def _entries(parts: list, what: str):
+    """The parts of a list in order; an empty one is refused when reached."""
+    for k, part in enumerate(parts, 1):
+        if not part:
+            raise ParseError(f"{what} {k} of {len(parts)} is empty")
+        yield part
+
+
 def parse_ideal(text: str, variables: Iterable[str] | None = None) -> PolyIdeal:
     tokens = _tokenize(text)
     if tokens and tokens[0] == ("sym", "(") and tokens[-1] == ("sym", ")"):
@@ -192,9 +202,7 @@ def parse_ideal(text: str, variables: Iterable[str] | None = None) -> PolyIdeal:
             tokens = inner
     vs = tuple(variables) if variables is not None else _collect_variables(tokens)
     gens = []
-    for chunk in _split_top_level(tokens, ","):
-        if not chunk:
-            continue
+    for chunk in _entries(_split_top_level(tokens, ","), "generator"):
         parser = _Parser(chunk, vs)
         gens.append(parser.expr())
         if not parser.at_end():
@@ -213,8 +221,10 @@ def parse_multiorder(text: str) -> MultiOrder:
     s = text.strip()
     if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
-    entries = [e for e in (part.strip() for part in s.split(",")) if e]
-    return MultiOrder(parse_rational(e) for e in entries)
+        if not s.strip():
+            return MultiOrder(())
+    parts = [part.strip() for part in s.split(",")]
+    return MultiOrder(parse_rational(e) for e in _entries(parts, "entry"))
 
 
 def _center_entry(tokens) -> tuple[list, Fraction]:
@@ -257,25 +267,18 @@ def parse_center(
     if not (s.startswith("[") and s.endswith("]")):
         raise ParseError("a center is written in brackets: [x^5, y^(15/2)]")
     tokens = _tokenize(s)[1:-1]
+    if not tokens:
+        raise ParseError("empty center")
     blocks = _split_top_level(tokens, "|")
     if len(blocks) > 2:
         raise ParseError("at most one block separator is allowed")
     raw_entries: list[tuple[list, Fraction]] = []
-    if len(blocks) == 2:
-        for chunk in _split_top_level(blocks[0], ","):
-            if chunk:
-                base, exp = _center_entry(chunk)
-                if exp != 1:
-                    raise ParseError("entries before the pipe carry exponent 1")
-                raw_entries.append((base, Fraction(1)))
-        tail = blocks[1]
-    else:
-        tail = blocks[0]
-    for chunk in _split_top_level(tail, ","):
-        if chunk:
-            raw_entries.append(_center_entry(chunk))
-    if not raw_entries:
-        raise ParseError("empty center")
+    for k, block in enumerate(blocks):
+        for chunk in _entries(_split_top_level(block, ","), "entry"):
+            base, exp = _center_entry(chunk)
+            if k + 1 < len(blocks) and exp != 1:
+                raise ParseError("entries before the pipe carry exponent 1")
+            raw_entries.append((base, exp))
     vs = tuple(variables) if variables is not None else _collect_variables(tokens)
     entries = []
     for base, exp in raw_entries:

@@ -15,7 +15,8 @@ The decreasing valuative filtration places an element in F_r when every
 term's parameter exponent has weighted value at least r; the defining
 parameters sit exactly at F_{1/d_i}, and any candidate tuple that is a
 conormal basis respecting those levels is again a system of nilpotent
-parameters.
+parameters.  On the width's integer grading (L, w) of `lattice.grading`,
+t^a lies in F_{1/d_i} exactly when w_1*a_1 + ... + w_n*a_n >= w_i.
 
 Tubes in a regular ambient correspond to integral weighted centers: the
 tube of a center is the vanishing locus of its rounding, the width is the
@@ -27,20 +28,22 @@ ambient weighted blowup.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .blowup import build_charts, rees_generators, strict_transform
 from .centers import CenterPresentation, CoordinateChange, nu_valuation
 from .errors import (
     DomainError,
+    InvalidMultiOrderError,
     NonIntegralCenterError,
     NotATubeError,
     UnrepresentableError,
 )
-from .lattice import LatticeIdeal, MultiOrder, is_in_mord, mord_compare
+from .lattice import LatticeIdeal, MultiOrder, grading, is_in_mord, mord_compare
 from .poly import Exponent, Polynomial, PolyIdeal, power_product
 
 
@@ -64,36 +67,45 @@ class TubeAlgebra:
     def kills(self, a: Exponent) -> bool:
         return any(all(x >= y for x, y in zip(a, r)) for r in self.relations)
 
-    def basis(self) -> list[Exponent]:
-        """Parameter monomials surviving the relations (must be finite).
+    def _prefix_walk(self, prefix: Exponent = (), kept: Sequence[Exponent] | None = None):
+        """Each prefix p of length n - 1 of a survivor, with the bound c
+        such that p + (e,) survives exactly when e < c.
 
-        The survivors are closed under lowering an exponent.  A walk over
-        prefixes keeps the relations whose leading entries the prefix
-        dominates; the next entry runs below the least entry of a kept
-        relation with no later nonzero entry (the pure power is one).
+        Survivors are closed under lowering an exponent.  The lazy walk keeps
+        the relations whose leading entries the prefix dominates; the next
+        entry runs below the least entry of a kept relation with no later
+        nonzero entry (the pure power is one).
         """
-        for i, name in enumerate(self.params):
-            if not any(not any(r[:i] + r[i + 1 :]) for r in self.relations):
-                raise UnrepresentableError(
-                    f"parameter {name} is not nilpotent: no pure power relation"
-                )
+        if kept is None:
+            for i, name in enumerate(self.params):
+                if not any(not any(r[:i] + r[i + 1 :]) for r in self.relations):
+                    raise UnrepresentableError(
+                        f"parameter {name} is not nilpotent: no pure power relation"
+                    )
+            kept = self.relations
+        j = len(prefix)
+        if j + 1 == len(self.params):
+            yield prefix, min(map(itemgetter(j), kept))
+            return
+        top = min(r[j] for r in kept if not any(r[j + 1 :]))
+        kept = sorted(kept, key=itemgetter(j))
+        for e in range(top):
+            below = bisect_right(kept, e, key=itemgetter(j))
+            yield from self._prefix_walk(prefix + (e,), kept[:below])
+
+    def basis(self) -> list[Exponent]:
+        """Parameter monomials surviving the relations (must be finite)."""
         if not self.params:
             return [] if self.kills(()) else [()]
-        out = []
-        stack = [((), self.relations)]
-        while stack:
-            prefix, kept = stack.pop()
-            j = len(prefix)
-            top = min(r[j] for r in kept if not any(r[j + 1 :]))
-            if j + 1 == len(self.params):
-                out.extend(prefix + (e,) for e in range(top))
-            else:
-                stack.extend((prefix + (e,), [r for r in kept if r[j] <= e]) for e in range(top))
+        out = [p + (e,) for p, top in self._prefix_walk() for e in range(top)]
         out.sort(key=lambda t: (sum(t), tuple(-e for e in t)))
         return out
 
     def rank(self) -> int:
-        return len(self.basis())
+        """The number of surviving monomials, counted without listing them."""
+        if not self.params:
+            return len(self.basis())
+        return sum(top for _, top in self._prefix_walk())
 
     def reduce(self, f: Polynomial) -> Polynomial:
         """Normal form: kill every term whose parameter part is a relation."""
@@ -133,9 +145,8 @@ def constant_tube(
 # -- exact linear algebra helpers ---------------------------------------------
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Gauss-Jordan elimination: the nonzero rows of the reduced row
-    echelon form, each with pivot 1 and zeros above and below it."""
+def _rank(rows: list[list[Fraction]]) -> int:
+    """Rank by Gauss-Jordan elimination."""
     m = [list(r) for r in rows]
     rank = 0
     cols = len(m[0]) if m else 0
@@ -153,11 +164,7 @@ def _row_reduce(rows: list[list[Fraction]]) -> list[list[Fraction]]:
         rank += 1
         if rank == len(m):
             break
-    return m[:rank]
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    return len(_row_reduce(rows))
+    return rank
 
 
 def _poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -280,32 +287,30 @@ def verify_split_tube(
 def width(A: TubeAlgebra) -> MultiOrder:
     """Recover the width from the relation staircase.
 
-    Solves the supporting-hyperplane systems through subsets of the relation
-    exponents, keeps solutions with decreasing positive weights whose
-    staircase reproduces the relations exactly, and filters by the witness
-    condition.  Integral staircases determine their width uniquely.
+    A relation a in the first i parameters with a_i >= 1 lies in I_d, so
+    d_i <= a_i / (1 - sum_{j<i} a_j/d_j) when that slack is positive, with
+    equality at the witness of prefix i, a minimal generator: d_1 is the
+    pure t_1 power and each d_i the least bound.  The result must increase,
+    exceed one, admit witnesses and have exactly the relations as its
+    staircase, so integral staircases determine their width uniquely.
     """
-    n = len(A.params)
-    if n == 0:
+    if not A.params:
         return MultiOrder(())
     rels = set(A.relations)
-    for subset in itertools.combinations(sorted(rels), n):
-        # solve a . w = 1 for each row; a pivot off the diagonal of the
-        # reduced system means the subset's matrix is singular
-        solved = _row_reduce([[Fraction(e) for e in a] + [Fraction(1)] for a in subset])
-        if len(solved) < n or any(row[i] != 1 for i, row in enumerate(solved)):
-            continue
-        w = [row[n] for row in solved]
-        if any(x <= 0 for x in w):
-            continue
-        if any(w[i] < w[i + 1] for i in range(n - 1)):
-            continue  # width must be increasing, weights decreasing
-        d = MultiOrder([Fraction(1) / x for x in w])
-        if any(e <= 1 for e in d.entries):
-            continue
-        if not is_in_mord(d):
-            continue
-        if set(LatticeIdeal(d).minimal_generators()) == rels:
+    ds: list[Fraction] = []
+    for i in range(len(A.params)):
+        bounds = []
+        for a in rels:
+            slack = 1 - sum(x / e for x, e in zip(a, ds))
+            if a[i] >= 1 and not any(a[i + 1 :]) and slack > 0:
+                bounds.append(Fraction(a[i]) / slack)
+        d_i = min(bounds, default=Fraction(0))
+        if d_i <= 1 or (ds and d_i < ds[-1]):
+            break
+        ds.append(d_i)
+    else:
+        d = MultiOrder(ds)
+        if is_in_mord(d) and set(LatticeIdeal(d).minimal_generators()) == rels:
             return d
     raise NotATubeError(f"relations {A.relations} are not an integral staircase")
 
@@ -322,13 +327,15 @@ def parameter_check(
         return False
     amb = A.ambient()
     idx = [amb.index(p) for p in A.params]
-    lattice = LatticeIdeal(d)
+    _, w = grading(d)
     for i, cand in enumerate(cands):
-        level = Fraction(1) / d.entries[i]
+        level = w[i]
         g = A.reduce(cand)
         if g.is_zero():
             return False
-        if any(lattice.value([exp[k] for k in idx]) < level for exp in g.terms):
+        if len(w) != len(idx):
+            raise InvalidMultiOrderError("exponent arity mismatch")
+        if any(sum(wj * exp[k] for wj, k in zip(w, idx)) < level for exp in g.terms):
             return False
     return True
 
@@ -485,9 +492,9 @@ def rees_restriction_check(
         reduced = (_reduce_mod(power_product(polys, a, ambient), Z_ideal) for a in exponents)
         return {r for r in reduced if not r.is_zero()}
 
-    grading = rees_generators(center, N)
+    rees = rees_generators(center, N)
     for n in range(N + 1):
-        left = images(coord_polys, grading[n])
+        left = images(coord_polys, rees[n])
         try:
             right_exponents = tubular_rees_piece(A, N, n)
         except DomainError:

@@ -34,7 +34,7 @@ from weightedres.errors import (
     ResourceLimitError,
     using_degree_cap,
 )
-from weightedres.poly import Polynomial
+from weightedres.poly import Polynomial, PolyIdeal
 from weightedres.textio import parse_polynomial
 from weightedres.lattice import LatticeIdeal
 from weightedres.textio import parse_center
@@ -470,6 +470,45 @@ def test_stacky_grading_and_stabilizers():
     assert [c.stabilizer_order for c in charts] == [7, 5]
     for chart in charts:
         assert chart_grading_ok(chart, controlled_transform(I, chart))
+
+
+def test_grading_check_refuses_a_term_of_the_wrong_residual_weight():
+    J = parse_center("[x^5, y^7]")
+    chart = build_charts(J, 35)[0]  # stabilizer order 7
+    s = Polynomial.variable(chart.exceptional, chart.ambient)
+    assert not chart_grading_ok(chart, PolyIdeal(chart.ambient, [s]))
+    assert chart_grading_ok(chart, PolyIdeal(chart.ambient, [s**7]))
+
+
+def _one_more_on_the_last_term(g):
+    top, c = max(g.terms.items())
+    return {**g.terms, top: c + 1}
+
+
+def _one_extra_term(g):
+    top = max(g.terms)
+    return {**g.terms, tuple(e + 1 for e in top): 1}
+
+
+@pytest.mark.parametrize("tamper", [_one_more_on_the_last_term, _one_extra_term])
+def test_transition_check_refuses_a_tampered_chart(monkeypatch, tamper):
+    from weightedres import blowup
+
+    I = parse_ideal("x^5 + x^3*y^3 + y^7")
+    J = multiorder(I).center
+    assert transition_agrees(J, 35, 0, 1, I) and transition_agrees(J, 35, 1, 0, I)
+    original = blowup.controlled_transform
+
+    def tampered(ideal, chart):
+        T = original(ideal, chart)
+        if chart.chart_index != 1:
+            return T
+        g = T.generators[0]
+        return PolyIdeal(T.variables, [Polynomial(g.variables, tamper(g))])
+
+    monkeypatch.setattr(blowup, "controlled_transform", tampered)
+    assert not transition_agrees(J, 35, 0, 1, I)
+    assert not transition_agrees(J, 35, 1, 0, I)
 
 
 def test_exact_divisibility_is_checked_not_assumed():

@@ -209,6 +209,34 @@ def test_usage_errors_are_parse_error_documents(capsys, argv):
     parse_error(capsys, argv)
 
 
+@pytest.mark.parametrize("argv", [["mord", "x^2+"], ["mord", "x^"], ["mord", "--", "-"]])
+def test_input_that_ends_early_says_so(capsys, argv):
+    assert parse_error(capsys, argv) == "unexpected end of input"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mord", "x^2,,y^3"], "generator 2 of 3 is empty"),
+        (["mord", ","], "generator 1 of 2 is empty"),
+        (["mord", ""], "generator 1 of 1 is empty"),
+        (["round", "[x^2,,y^3]"], "entry 2 of 3 is empty"),
+        (["round", "[s, | x^2]"], "entry 2 of 2 is empty"),
+        (["tube", "(2,)"], "entry 2 of 2 is empty"),
+        (["staircase", "(5,,7)"], "entry 2 of 3 is empty"),
+        (["tube", "(2,"], "bad rational '(2'"),  # entries are read in order
+    ],
+)
+def test_an_empty_list_entry_is_a_parse_error(capsys, argv, message):
+    assert parse_error(capsys, argv) == message
+
+
+def test_empty_width_and_wrapped_ideal_still_parse():
+    assert parse_multiorder("()") == MultiOrder(())
+    assert parse_ideal("(x^2, y^3)") == parse_ideal("x^2, y^3")
+    assert len(parse_ideal("(x^2 + y^3)").generators) == 1
+
+
 @pytest.mark.parametrize("steps", ["-1", "0"])
 @pytest.mark.parametrize(
     "command", [["principalize", "x^2"], ["embed-resolve", "x^2", "--codim", "1"]]

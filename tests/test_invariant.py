@@ -203,6 +203,21 @@ def test_oracle_examples():
     assert monomial_center_oracle(full).mord == MultiOrder((4, F(16, 3), F(32, 5)))
 
 
+def test_oracle_leaves_no_state_in_its_module():
+    from weightedres import invariant
+
+    def containers():
+        return {
+            name: repr(value)
+            for name, value in vars(invariant).items()
+            if isinstance(value, (dict, list, set))
+        }
+
+    before = containers()
+    monomial_center_oracle(parse_ideal("x^5, x^4*y^2, x^3*y^3, x^2*y^5, x*y^6, y^7"))
+    assert containers() == before
+
+
 def test_oracle_rejects_non_monomial_input():
     with pytest.raises(DomainError):
         monomial_center_oracle(parse_ideal("x + y"))

@@ -4,7 +4,9 @@ A stdlib stand-in for a linter's undefined-name check: a name read only on
 an error path (an `except` clause, say) otherwise surfaces as a NameError
 in the one run that takes that path.  The converse check flags functions,
 classes and methods that no code, test or benchmark mentions: dead code
-that would otherwise be kept, exported and maintained for nothing.
+that would otherwise be kept, exported and maintained for nothing.  A
+method counts as used only where some text reads it as `.name`, so a local
+helper that shares its name does not keep it alive.
 """
 
 from __future__ import annotations
@@ -58,17 +60,19 @@ def test_package_has_no_undefined_global_names():
 ROOT = SRC.parents[1]
 SEARCHED = ("src", "tests", "perfbench")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+ATTRIBUTE = re.compile(r"\.([A-Za-z_][A-Za-z0-9_]*)")
 
 
 def definitions(source: str) -> list[str]:
-    """Module-level functions and classes, and non-dunder methods."""
+    """Module-level functions and classes, and non-dunder methods as
+    `Class.method`."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
         if isinstance(node, ast.ClassDef):
             names += [
-                item.name
+                f"{node.name}.{item.name}"
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not (item.name.startswith("__") and item.name.endswith("__"))
@@ -77,15 +81,25 @@ def definitions(source: str) -> list[str]:
 
 
 def unreferenced(defined: dict[str, list[str]], texts: dict[str, str], init: str) -> list[str]:
-    """Names defined (one entry per definition, keyed by module) that no word
-    of the searched texts mentions beyond the definitions themselves; the
-    package `__init__` re-exports are not counted as uses."""
-    counts: Counter[str] = Counter()
+    """Names defined (one entry per definition, keyed by module) that the
+    searched texts never use: a function or class that no word mentions
+    beyond the definitions themselves, a method that nothing reads as
+    `.name`.  The package `__init__` re-exports are not counted as uses."""
+    words: Counter[str] = Counter()
+    reads: Counter[str] = Counter()
     for path, text in texts.items():
         if path != init:
-            counts.update(WORD.findall(text))
-    sites = Counter(name for names in defined.values() for name in names)
-    return sorted({name for name in sites if counts[name] <= sites[name]})
+            words.update(WORD.findall(text))
+            reads.update(ATTRIBUTE.findall(text))
+    qualified = [name for names in defined.values() for name in names]
+    sites = Counter(name.rpartition(".")[2] for name in qualified)
+    dead = set()
+    for name in qualified:
+        owner, _, short = name.rpartition(".")
+        used = reads[short] > 0 if owner else words[short] > sites[short]
+        if not used:
+            dead.add(short)
+    return sorted(dead)
 
 
 def library_hooks() -> set[str]:
@@ -108,6 +122,16 @@ def test_dead_definition_check_flags_an_unused_helper():
     module = "def used():\n    pass\n\ndef unused():\n    return used()\n"
     texts = {"m.py": module, "__init__.py": "from .m import unused\n"}
     assert unreferenced({"m.py": definitions(module)}, texts, "__init__.py") == ["unused"]
+
+
+def test_dead_definition_check_wants_a_method_read_as_an_attribute():
+    module = "class C:\n    def helper(self):\n        pass\n\n    def used(self):\n        pass\n"
+    texts = {
+        "m.py": module,
+        "test_m.py": "def helper(c):\n    return helper(c) or C().used()\n",
+        "__init__.py": "",
+    }
+    assert unreferenced({"m.py": definitions(module)}, texts, "__init__.py") == ["helper"]
 
 
 def test_every_definition_is_referenced():

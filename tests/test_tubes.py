@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weightedres import (
     DomainError,
@@ -16,6 +16,7 @@ from weightedres import (
     TubeAlgebra,
     center_from_tube,
     constant_tube,
+    is_in_mord,
     multiorder,
     parameter_check,
     parse_ideal,
@@ -101,6 +102,7 @@ def test_basis_matches_the_brute_force_filter(drawn):
     box = itertools.product(range(6), repeat=n)
     survivors = [a for a in box if not any(all(x >= y for x, y in zip(a, r)) for r in relations)]
     assert A.basis() == sorted(survivors, key=lambda t: (sum(t), tuple(-e for e in t)))
+    assert A.rank() == len(A.basis())
 
 
 # -- the split-tube axioms ---------------------------------------------------------
@@ -125,6 +127,47 @@ def test_width_recovery():
 def test_width_rejects_non_staircases():
     with pytest.raises(NotATubeError):
         width(TubeAlgebra((), ("t1", "t2"), ((1, 0), (0, 1))))
+
+
+@st.composite
+def admissible_widths(draw):
+    """Widths with entries > 1 that satisfy the witness condition: each new
+    entry is a_i over the slack of a drawn prefix vector."""
+    ds = [F(draw(st.integers(2, 6)))]
+    for _ in range(draw(st.integers(0, 2))):
+        prefix = [draw(st.integers(0, int(d))) for d in ds]
+        slack = 1 - sum(x / d for x, d in zip(prefix, ds))
+        assume(slack > 0)
+        d = draw(st.integers(1, 3)) / slack
+        assume(ds[-1] <= d <= 12)
+        ds.append(d)
+    return MultiOrder(ds)
+
+
+@settings(max_examples=150, deadline=None)
+@given(admissible_widths(), st.data())
+def test_width_reads_back_exactly_the_staircases(d, data):
+    # a bare staircase gives back its width; any other relation set either
+    # is some width's staircase or raises NotATubeError
+    params = tuple(f"t{i + 1}" for i in range(len(d)))
+    stair = LatticeIdeal(d).minimal_generators()
+    assert is_in_mord(d) and width(TubeAlgebra((), params, tuple(stair))) == d
+    kept = data.draw(st.lists(st.sampled_from(stair), unique=True))
+    extra = data.draw(st.lists(st.tuples(*[st.integers(0, 8)] * len(d)), max_size=4))
+    relations = tuple(kept + extra)
+    try:
+        found = width(TubeAlgebra((), params, relations))
+    except NotATubeError:
+        assert set(relations) != set(stair)
+        return
+    assert set(LatticeIdeal(found).minimal_generators()) == set(relations)
+
+
+def test_width_of_a_large_bare_staircase():
+    # 1225 relations, read in one pass over the witness prefixes
+    T = constant_tube(MultiOrder((12, 18, 24, 36)))
+    assert len(T.relations) == 1225
+    assert width(TubeAlgebra((), T.params, T.relations)) == MultiOrder((12, 18, 24, 36))
 
 
 def test_verify_over_a_polynomial_base_with_base_coefficients():
