@@ -10,9 +10,10 @@ on the aligned coordinates, with s the exceptional coordinate and the chart
 carrying a residual action of order w_k (recorded, not quotiented: the
 grading is checked symbolically instead).  This is a monomial map, so a
 pullback and a chart transition act on exponent vectors and never multiply
-polynomials.  The controlled transform divides
-every pulled-back generator exactly by s^N; the strict transform divides
-each generator by its own maximal s-power.
+polynomials.  The same map divides by the exceptional coordinate: the
+controlled transform subtracts N from every s-exponent, the strict transform
+the least s-exponent of each generator, and the degree cap sees only the
+terms that are kept.
 
 The principalization driver repeats: compute the canonical center at every
 tracked rational point, blow up, transform, and record the invariant, until
@@ -108,24 +109,32 @@ class WeightedChart:
     primes: dict[str, str]
     stabilizer_order: int
 
-    def _pull_aligned(self, aligned: Polynomial) -> Polynomial:
-        """The chart's monomial map on a polynomial in the center's ambient.
+    def _pull_aligned(self, aligned: Polynomial, shift: int | None = 0) -> Polynomial:
+        """The chart's monomial map on a polynomial in the center's ambient,
+        divided by s^shift (by the largest power of s it can, if None).
 
         On an exponent vector e it replaces the chart coordinate's entry with
-        sum_j w_j * e_j, the exponent of s, and keeps every other entry.  It
-        is injective, so no two terms meet.  A term whose image has total
-        degree above the degree cap raises ResourceLimitError, as the product
-        that computes it would.
+        sum_j w_j * e_j - shift, the exponent of s, and keeps every other
+        entry.  It is injective, so no two terms meet.  A negative s-exponent
+        on any term raises AdmissibilityError; then a kept term whose total
+        degree is above the degree cap raises ResourceLimitError, as the
+        product that computes it would.
         """
         amb = self.center.ambient
         weighted = [(amb.index(v), w) for v, w in zip(self.center.coords, self.weights)]
         k = weighted[self.chart_index][0]
+        s_exp = {exp: sum(w * exp[p] for p, w in weighted) for exp in aligned.terms}
+        shift = min(s_exp.values(), default=0) if shift is None else shift
+        if any(v < shift for v in s_exp.values()):
+            raise AdmissibilityError(
+                f"pullback of {aligned} is not divisible by "
+                f"{self.exceptional}^{shift}: broken center"
+            )
         terms = {}
         for exp, c in aligned.terms.items():
-            e = list(exp)
-            e[k] = sum(w * exp[p] for p, w in weighted)
+            e = exp[:k] + (s_exp[exp] - shift,) + exp[k + 1 :]
             check_degree(sum(e))
-            terms[tuple(e)] = c
+            terms[e] = c
         return Polynomial(self.ambient, terms)
 
     @property
@@ -136,12 +145,13 @@ class WeightedChart:
             v: self._pull_aligned(Polynomial.variable(v, amb)) for v in self.center.coords
         }
 
-    def transform_poly(self, f: Polynomial) -> Polynomial:
-        """Pull f back: align it, then apply the chart's monomial map."""
+    def transform_poly(self, f: Polynomial, shift: int | None = 0) -> Polynomial:
+        """Pull f back: align it, then apply the chart's monomial map, which
+        divides by s^shift (by default by nothing)."""
         aligned = self.center.change.to_aligned(f)
         if aligned.variables != self.center.ambient:
             aligned = aligned.extend_ambient(self.center.ambient)
-        return self._pull_aligned(aligned)
+        return self._pull_aligned(aligned, shift)
 
 
 def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
@@ -190,17 +200,7 @@ def controlled_transform(I: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
     """
     if I.variables != chart.center.ambient:
         raise AmbientMismatchError("ideal ambient differs from center ambient")
-    gens = []
-    for g in I.generators:
-        pulled = chart.transform_poly(g)
-        divided = pulled.divide_by_variable_power(chart.exceptional, chart.N)
-        if divided is None:
-            raise AdmissibilityError(
-                f"pullback of {g} is not divisible by "
-                f"{chart.exceptional}^{chart.N}: broken center"
-            )
-        gens.append(divided)
-    return PolyIdeal(chart.ambient, gens)
+    return PolyIdeal(chart.ambient, [chart.transform_poly(g, chart.N) for g in I.generators])
 
 
 def strict_transform(Z: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
@@ -210,11 +210,7 @@ def strict_transform(Z: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
     coordinate; generator-wise saturation is exact for principal and
     monomial ideals, which is the supported desk-scale class.
     """
-    s = chart.exceptional
-    gens = [chart.transform_poly(g) for g in Z.generators]
-    return PolyIdeal(
-        chart.ambient, [g.divide_by_variable_power(s, g.min_power_of(s)) for g in gens]
-    )
+    return PolyIdeal(chart.ambient, [chart.transform_poly(g, None) for g in Z.generators])
 
 
 def chart_grading_ok(chart: WeightedChart, transform: PolyIdeal) -> bool:

@@ -402,8 +402,8 @@ class Polynomial:
 
 def check_degree(degree: int) -> None:
     """Raise ResourceLimitError when a product of this total degree would
-    exceed the current degree cap; `*` and the weighted-blowup chart
-    pullback both apply this one rule."""
+    exceed the current degree cap; `*` and the weighted-blowup chart map,
+    on each term it keeps, both apply this one rule."""
     cap = degree_cap()
     if degree > cap:
         raise ResourceLimitError(f"product degree {degree} exceeds cap {cap}")

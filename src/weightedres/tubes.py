@@ -38,7 +38,6 @@ from .blowup import build_charts, rees_generators, strict_transform
 from .centers import CenterPresentation, CoordinateChange, nu_valuation
 from .errors import (
     DomainError,
-    InvalidMultiOrderError,
     NonIntegralCenterError,
     NotATubeError,
     UnrepresentableError,
@@ -57,6 +56,8 @@ class TubeAlgebra:
     width: MultiOrder | None = None
 
     def __post_init__(self):
+        if self.width is not None and len(self.width) != len(self.params):
+            raise DomainError("parameter count must match the width length")
         for a in self.relations:
             if len(a) != len(self.params):
                 raise DomainError("relation arity does not match the parameters")
@@ -136,8 +137,6 @@ def constant_tube(
     names = tuple(params) if params is not None else tuple(
         f"t{i+1}" for i in range(len(width))
     )
-    if len(names) != len(width):
-        raise DomainError("parameter count must match the width length")
     relations = tuple(LatticeIdeal(width).minimal_generators())
     return TubeAlgebra(tuple(base_vars), names, relations, width)
 
@@ -294,8 +293,6 @@ def width(A: TubeAlgebra) -> MultiOrder:
     exceed one, admit witnesses and have exactly the relations as its
     staircase, so integral staircases determine their width uniquely.
     """
-    if not A.params:
-        return MultiOrder(())
     rels = set(A.relations)
     ds: list[Fraction] = []
     for i in range(len(A.params)):
@@ -333,8 +330,6 @@ def parameter_check(
         g = A.reduce(cand)
         if g.is_zero():
             return False
-        if len(w) != len(idx):
-            raise InvalidMultiOrderError("exponent arity mismatch")
         if any(sum(wj * exp[k] for wj, k in zip(w, idx)) < level for exp in g.terms):
             return False
     return True

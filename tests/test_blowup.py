@@ -1,9 +1,10 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weightedres import (
     MultiOrder,
@@ -26,6 +27,7 @@ from weightedres.blowup import (
     chart_grading_ok,
     transition_agrees,
 )
+from weightedres.cli import main
 from weightedres.errors import (
     DEFAULT_DEGREE_CAP,
     AdmissibilityError,
@@ -143,6 +145,46 @@ def test_chart_pullback_matches_the_substitution(f, center, cap):
                     lambda: center.change.to_aligned(f).substitute(images, chart.ambient)
                 )
             assert new == old
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_polynomials(), st.sampled_from(ORACLE_CENTERS), st.integers(1, 60))
+# s-exponents N - 1 and N: one short of admissible, and exactly admissible
+@example(Polynomial(("x", "y", "z"), {(2, 4, 0): 1, (5, 0, 0): 1}), ORACLE_CENTERS[0], 8)
+@example(Polynomial(("x", "y", "z"), {(5, 0, 0): 1, (0, 0, 3): 2}), ORACLE_CENTERS[0], 8)
+def test_one_chart_pass_matches_pull_then_divide(f, center, cap):
+    # the transforms divide by the exceptional on exponent vectors; the
+    # reference pulls the whole generator back and divides it afterwards
+    I = PolyIdeal(center.ambient, [f.extend_ambient(center.ambient)])
+    for chart in build_charts(center, minimal_root(center.exponents)):
+        s = chart.exceptional
+        with using_degree_cap(10**6):
+            full = chart.transform_poly(f)
+            controlled = full.divide_by_variable_power(s, chart.N)
+            strict = full.divide_by_variable_power(s, full.min_power_of(s))
+            assert strict_transform(I, chart) == PolyIdeal(chart.ambient, [strict])
+            if controlled is None:
+                with pytest.raises(AdmissibilityError):
+                    controlled_transform(I, chart)
+            else:
+                assert controlled_transform(I, chart) == PolyIdeal(chart.ambient, [controlled])
+        if center.change.steps:
+            continue  # a shear's own products meet the cap before the chart map
+        # the cap sees only the kept terms, on either side of their degree
+        for kept, transform in ((controlled, controlled_transform), (strict, strict_transform)):
+            top = kept.total_degree() if kept is not None else 0
+            for c in {cap, max(1, top - 1), max(1, top)}:
+                with using_degree_cap(c):
+                    if kept is None:
+                        expected = AdmissibilityError  # refused before any degree check
+                    else:
+                        expected = ResourceLimitError if top > c else None
+                    try:
+                        transform(I, chart)
+                        raised = None
+                    except (AdmissibilityError, ResourceLimitError) as err:
+                        raised = type(err)
+                    assert raised is expected, (str(f), chart.chart_index, c)
 
 
 def test_controlled_transform_trivial():
@@ -298,6 +340,29 @@ def test_step_cap_returns_a_typed_status():
     trace = principalize(parse_ideal("x^5 + x^3*y^3 + y^7"), max_steps=1)
     assert trace.status == "resource-capped"
     assert trace.step_count() == 1
+
+
+BINOMIAL_CURVES = [(a, b) for a in range(2, 8) for b in range(a + 1, a + 7)]
+
+
+@pytest.mark.parametrize("a, b", BINOMIAL_CURVES)
+def test_binomial_curves_finish_under_the_default_cap(a, b):
+    # every pullback carries s^lcm(a, b), above the cap for the larger
+    # curves; the kept transforms are small, and the cap sees only those
+    I = parse_ideal(f"x^{a} - y^{b}")
+    trace = principalize(I)
+    assert trace.status == "principalized"
+    assert invariant_drop_check(trace)
+    trace = embedded_resolve(I, 1)
+    assert trace.status == "resolved"
+    assert invariant_drop_check(trace)
+
+
+def test_a_kept_transform_above_the_cap_is_still_refused(capsys):
+    # the alignment brings in y^30, so chart 0 keeps a transform of degree 72
+    assert main(["principalize", "x^6 + 5*x^5*y^5 + y^9"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == {"code": "resource-cap", "message": "product degree 72 exceeds cap 64"}
 
 
 def test_corpus_terminates_within_ten_steps(corpus):

@@ -129,6 +129,22 @@ def test_width_rejects_non_staircases():
         width(TubeAlgebra((), ("t1", "t2"), ((1, 0), (0, 1))))
 
 
+def test_width_checks_a_tube_without_parameters():
+    assert width(TubeAlgebra((), (), ())) == MultiOrder(())
+    # the relation () kills the whole tube: rank 0, not the empty width
+    with pytest.raises(NotATubeError):
+        width(TubeAlgebra((), (), ((),)))
+
+
+def test_width_metadata_of_the_wrong_length_is_refused():
+    with pytest.raises(DomainError, match="parameter count must match the width length"):
+        TubeAlgebra((), ("t1", "t2"), ((2, 0), (0, 3)), MultiOrder(()))
+    with pytest.raises(DomainError, match="parameter count must match the width length"):
+        TubeAlgebra((), ("t1", "t2"), ((2, 0), (0, 3)), MultiOrder((2, 3, 4)))
+    with pytest.raises(DomainError, match="parameter count must match the width length"):
+        constant_tube(MultiOrder((2, 3)), params=("t",))
+
+
 @st.composite
 def admissible_widths(draw):
     """Widths with entries > 1 that satisfy the witness condition: each new
