@@ -548,114 +548,118 @@ def _run_driver(
         return TrackedPoint(coords, mord, finished)
 
     track(I, "start")
-    while queue:
-        ideal, label, (mord, res, divisor) = queue.pop(0)
-        if len(trace.steps) >= max_steps:
-            trace.status = DriverStatus.RESOURCE_CAPPED
-            return trace
+    try:
+        while queue:
+            ideal, label, (mord, res, divisor) = queue.pop(0)
+            if len(trace.steps) >= max_steps:
+                trace.status = DriverStatus.RESOURCE_CAPPED
+                return trace
 
-        if regular is None and (
-            divisor is not None
-            or (len(res.center.coords) == 1 and res.center.exponents[0] == 1)
-        ):
-            # a one-coordinate weight-one center: exact division
-            if divisor is None:
-                divisor = res.center.coordinate_polynomials()[0]
-            gens = []
-            for g in ideal.generators:
-                q = g.divide_exact(divisor)
-                if q is None:
-                    raise AdmissibilityError(
-                        f"generator {g} not divisible by the divisor {divisor}"
+            if regular is None and (
+                divisor is not None
+                or (len(res.center.coords) == 1 and res.center.exponents[0] == 1)
+            ):
+                # a one-coordinate weight-one center: exact division
+                if divisor is None:
+                    divisor = res.center.coordinate_polynomials()[0]
+                gens = []
+                for g in ideal.generators:
+                    q = g.divide_exact(divisor)
+                    if q is None:
+                        raise AdmissibilityError(
+                            f"generator {g} not divisible by the divisor {divisor}"
+                        )
+                    gens.append(q)
+                new_ideal = PolyIdeal(ideal.variables, gens)
+                record = ChartRecord(
+                    index=0,
+                    coordinate=str(divisor),
+                    weights=(1,),
+                    exceptional=str(divisor),
+                    substitution=((str(divisor), "divided out"),),
+                    transform=new_ideal,
+                    tracked=(track(new_ideal, label + "/div"),),
+                )
+                trace.steps.append(
+                    BlowupStep(
+                        label=label,
+                        ideal=ideal,
+                        mord=mord,
+                        center=res.center if res else None,
+                        N=1,
+                        charts=(record,),
+                        note="divisor center: blowup is an isomorphism, ideal divided",
                     )
-                gens.append(q)
-            new_ideal = PolyIdeal(ideal.variables, gens)
-            record = ChartRecord(
-                index=0,
-                coordinate=str(divisor),
-                weights=(1,),
-                exceptional=str(divisor),
-                substitution=((str(divisor), "divided out"),),
-                transform=new_ideal,
-                tracked=(track(new_ideal, label + "/div"),),
-            )
+                )
+                continue
+            if res is None:
+                raise ContactAlignmentError(
+                    "embedded driver hit a non-alignable divisor point"
+                )
+
+            N = minimal_root(res.mord)
+            charts = build_charts(res.center, N)
+            records = []
+            irrational_hit = False
+            chart_trivial = []
+            for chart in charts:
+                if regular is None:
+                    T = controlled_transform(ideal, chart)
+                else:
+                    T = strict_transform(ideal, chart)
+                chart_trivial.append(
+                    any(g.is_constant() and not g.is_zero() for g in T.generators)
+                )
+                points, irrational = _fiber_points(T, chart)
+                irrational_hit = irrational_hit or irrational
+                tracked = []
+                for coords in points:
+                    where = ",".join(f"{v}={r}" for v, r in coords)
+                    tracked.append(
+                        track(
+                            T.translate(dict(coords)),
+                            f"{label}/c{chart.chart_index}@{where}",
+                            coords,
+                        )
+                    )
+                records.append(
+                    ChartRecord(
+                        index=chart.chart_index,
+                        coordinate=res.center.coords[chart.chart_index],
+                        weights=chart.weights,
+                        exceptional=chart.exceptional,
+                        substitution=tuple(
+                            (v, str(p)) for v, p in sorted(chart.substitution.items())
+                        ),
+                        transform=T,
+                        tracked=tuple(tracked),
+                    )
+                )
+            note = ""
+            if regular is not None and chart_trivial and all(chart_trivial):
+                # every chart's strict transform is globally trivial: the center
+                # swallowed the subscheme and the next transform would not be
+                # birational, so the run stops without modifying it
+                note = "center contains a generic point; subscheme left unmodified"
+                trace.status = DriverStatus.STOPPED_GENERIC_POINT
+                queue.clear()
             trace.steps.append(
                 BlowupStep(
                     label=label,
                     ideal=ideal,
-                    mord=mord,
-                    center=res.center if res else None,
-                    N=1,
-                    charts=(record,),
-                    note="divisor center: blowup is an isomorphism, ideal divided",
+                    mord=res.mord,
+                    center=res.center,
+                    N=N,
+                    charts=tuple(records),
+                    note=note,
                 )
             )
-            continue
-        if res is None:
-            raise ContactAlignmentError(
-                "embedded driver hit a non-alignable divisor point"
-            )
-
-        N = minimal_root(res.mord)
-        charts = build_charts(res.center, N)
-        records = []
-        irrational_hit = False
-        chart_trivial = []
-        for chart in charts:
-            if regular is None:
-                T = controlled_transform(ideal, chart)
-            else:
-                T = strict_transform(ideal, chart)
-            chart_trivial.append(
-                any(g.is_constant() and not g.is_zero() for g in T.generators)
-            )
-            points, irrational = _fiber_points(T, chart)
-            irrational_hit = irrational_hit or irrational
-            tracked = []
-            for coords in points:
-                where = ",".join(f"{v}={r}" for v, r in coords)
-                tracked.append(
-                    track(
-                        T.translate(dict(coords)),
-                        f"{label}/c{chart.chart_index}@{where}",
-                        coords,
-                    )
-                )
-            records.append(
-                ChartRecord(
-                    index=chart.chart_index,
-                    coordinate=res.center.coords[chart.chart_index],
-                    weights=chart.weights,
-                    exceptional=chart.exceptional,
-                    substitution=tuple(
-                        (v, str(p)) for v, p in sorted(chart.substitution.items())
-                    ),
-                    transform=T,
-                    tracked=tuple(tracked),
-                )
-            )
-        note = ""
-        if regular is not None and chart_trivial and all(chart_trivial):
-            # every chart's strict transform is globally trivial: the center
-            # swallowed the subscheme and the next transform would not be
-            # birational, so the run stops without modifying it
-            note = "center contains a generic point; subscheme left unmodified"
-            trace.status = DriverStatus.STOPPED_GENERIC_POINT
-            queue.clear()
-        trace.steps.append(
-            BlowupStep(
-                label=label,
-                ideal=ideal,
-                mord=res.mord,
-                center=res.center,
-                N=N,
-                charts=tuple(records),
-                note=note,
-            )
-        )
-        if irrational_hit:
-            trace.status = DriverStatus.IRRATIONAL_POINT
-            return trace
+            if irrational_hit:
+                trace.status = DriverStatus.IRRATIONAL_POINT
+                return trace
+    except ResourceLimitError:
+        # a cap hit after the start ends the run; the steps so far are kept
+        trace.status = DriverStatus.RESOURCE_CAPPED
     return trace
 
 

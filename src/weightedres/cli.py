@@ -3,7 +3,8 @@
 One verb per pipeline; every verb emits JSON by default (rationals as
 strings), `--format text` gives a short human rendering, and only `staircase`
 also takes `--format svg`.  Exit codes: 0 success (a driver that
-stops early, at an irrational point say, reports it in its `status`), 1
+stops early, at an irrational point or on a degree-cap hit after its start
+point say, reports it in its `status` and keeps the steps it made), 1
 domain errors (inadmissible input, non-integral center, a `--codim` above
 the number of variables, ...), 2 parse or resource errors.  Every failure
 prints one JSON `error` document on stdout, usage errors, an `--output`

@@ -180,16 +180,15 @@ def split_gt1(d: MultiOrder) -> tuple[int, MultiOrder]:
 
 
 class LatticeIdeal:
-    """The upward-closed exponent set I_d with cached minimal generators."""
+    """The upward-closed exponent set I_d."""
 
-    __slots__ = ("d", "_L", "_w", "_minimal")
+    __slots__ = ("d", "_L", "_w")
 
     def __init__(self, d: MultiOrder):
         L, w = grading(d)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_L", L)
         object.__setattr__(self, "_w", w)
-        object.__setattr__(self, "_minimal", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("LatticeIdeal is immutable")
@@ -211,9 +210,6 @@ class LatticeIdeal:
     def minimal_generators(self) -> list[tuple[int, ...]]:
         """The finite antichain of minimal members, in decreasing
         lexicographic order."""
-        cached = object.__getattribute__(self, "_minimal")
-        if cached is not None:
-            return list(cached)
         # the last nonzero entry of a minimal member is the least c over its
         # prefix p, so a = p + (c, 0, ..., 0) is minimal exactly when no
         # a - e_k with p_k > 0 is a member; the walk yields them increasing
@@ -224,7 +220,6 @@ class LatticeIdeal:
             if all(v + c * ws[len(p)] - w < L for x, w in zip(p, ws) if x)
         ]
         minimal.reverse()
-        object.__setattr__(self, "_minimal", tuple(minimal))
         return minimal
 
     def complement(self) -> list[tuple[int, ...]]:

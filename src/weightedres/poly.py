@@ -226,12 +226,15 @@ class Polynomial:
     def substitute(
         self, images: Mapping[str, "Polynomial"], variables: Iterable[str] | None = None
     ) -> "Polynomial":
-        """Compose with a variable substitution.
+        """Compose with a simultaneous variable substitution.
 
         `images` maps variable names to polynomials in the target ambient;
-        variables missing from the map are sent to themselves (which requires
-        the target ambient to contain them).  All images must share one
-        ambient.
+        the images of f's own variables must all lie in it.  A variable
+        missing from the map keeps its exponent, moved to its position in
+        the target ambient (which must contain it).  The degree cap sees
+        each term twice: `check_degree` on its moved exponents, then `*`
+        for each mapped factor.  So a change of ambient also refuses a term
+        above the cap, which no polynomial built inside the engine has.
         """
         if variables is not None:
             target = tuple(variables)
@@ -239,29 +242,33 @@ class Polynomial:
             target = next(iter(images.values())).variables
         else:
             target = self.variables
-        imap: list[Polynomial] = []
-        for v in self.variables:
+        kept: list[tuple[int, int]] = []
+        mapped: list[tuple[int, Polynomial]] = []
+        for i, v in enumerate(self.variables):
             img = images.get(v)
             if img is None:
-                img = Polynomial.variable(v, target)
+                kept.append((i, target.index(v)))
             elif img.variables != target:
                 raise AmbientMismatchError("substitution images have mixed ambients")
-            imap.append(img)
-        # cache powers of each image as needed
-        powers: list[dict[int, Polynomial]] = [dict() for _ in imap]
-        result = Polynomial.zero(target)
-        one = Polynomial.constant(1, target)
+            else:
+                mapped.append((i, img))
+        powers: dict[tuple[int, int], Polynomial] = {}
+        out: dict[Exponent, Fraction] = {}
         for exp, coeff in self.terms.items():
-            term = one.scale(coeff)
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                cache = powers[i]
-                if e not in cache:
-                    cache[e] = imap[i] ** e
-                term = term * cache[e]
-            result = result + term
-        return result
+            moved = [0] * len(target)
+            for i, j in kept:
+                moved[j] = exp[i]
+            check_degree(sum(moved))
+            image = {tuple(moved): coeff}
+            for i, img in mapped:
+                k = exp[i]
+                if k:
+                    if (i, k) not in powers:
+                        powers[i, k] = img**k
+                    image = (Polynomial(target, image) * powers[i, k]).terms
+            for e, c in image.items():
+                out[e] = out.get(e, 0) + c
+        return Polynomial(target, out)
 
     def restrict(self, name: str) -> "Polynomial":
         """Set one variable to zero (the ambient is kept unchanged)."""
@@ -360,17 +367,9 @@ class Polynomial:
         return Polynomial(self.variables, terms)
 
     def extend_ambient(self, variables: Iterable[str]) -> "Polynomial":
-        """View the polynomial inside a larger ambient (superset of names)."""
-        vs = tuple(variables)
-        idx = [vs.index(v) for v in self.variables]
-        n = len(vs)
-        terms: dict[Exponent, Fraction] = {}
-        for exp, c in self.terms.items():
-            e = [0] * n
-            for pos, k in zip(idx, exp):
-                e[pos] = k
-            terms[tuple(e)] = c
-        return Polynomial(vs, terms)
+        """View the polynomial inside a larger ambient (superset of names):
+        the substitution with no images, under the same degree cap."""
+        return self.substitute({}, variables)
 
     # -- display -----------------------------------------------------------
 

@@ -5,10 +5,10 @@ Polynomial grammar: identifiers are variables, `^` raises to integer powers,
 are integers or rationals `p/q`.  Parenthesized subexpressions are allowed,
 so `(x+y^2)^5 + y^11` parses.  Ideals are comma-separated generator lists.
 
-Weight tuples read as `(4, 16/3, 32/5)`.  Centers read as
-`[x^5, y^(15/2)]`, with an optional codimension block before a pipe:
-`[s1, s2 | x^5, y^7]`; block entries carry exponent 1.  Fractional exponents
-must be parenthesized.
+Weight tuples read as `(4, 16/3, 32/5)`, each entry an optionally negative
+integer or `p/q`.  Centers read as `[x^5, y^(15/2)]`, with an optional
+codimension block before a pipe: `[s1, s2 | x^5, y^7]`; block entries carry
+exponent 1.  Fractional exponents must be parenthesized.
 
 All rationals serialize to JSON as strings like "16/3" (integers as "16"),
 never as floats.
@@ -211,10 +211,11 @@ def parse_ideal(text: str, variables: Iterable[str] | None = None) -> PolyIdeal:
 
 
 def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as err:
-        raise ParseError(f"bad rational {text!r}") from err
+    """An optionally negative integer or `p/q`, as in a weight tuple."""
+    s = text.strip()
+    if re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", s) is None:  # q is nonzero
+        raise ParseError(f"bad rational {text!r}")
+    return Fraction(s)
 
 
 def parse_multiorder(text: str) -> MultiOrder:
@@ -234,29 +235,24 @@ def _center_entry(tokens) -> tuple[list, Fraction]:
     if len(parts) == 1:
         return tokens, Fraction(1)
     exp_tokens = parts[-1]
-    if len(exp_tokens) == 1 and exp_tokens[0][0] == "num":
-        exp = Fraction(int(exp_tokens[0][1]))
-    elif (
-        len(exp_tokens) >= 3
-        and exp_tokens[0] == ("sym", "(")
-        and exp_tokens[-1] == ("sym", ")")
-    ):
+    inner = exp_tokens
+    if exp_tokens[:1] == [("sym", "(")] and exp_tokens[-1:] == [("sym", ")")]:
         inner = exp_tokens[1:-1]
-        if len(inner) == 1 and inner[0][0] == "num":
-            exp = Fraction(int(inner[0][1]))
-        elif (
-            len(inner) == 3
-            and inner[0][0] == "num"
-            and inner[1] == ("sym", "/")
-            and inner[2][0] == "num"
-        ):
-            if int(inner[2][1]) == 0:
-                raise ParseError("zero denominator in a center exponent")
-            exp = Fraction(int(inner[0][1]), int(inner[2][1]))
-        else:
-            raise ParseError("bad exponent in center entry")
-    else:
+    elif ("sym", "/") in exp_tokens:
         raise ParseError("fractional exponents must be parenthesized")
+    if len(inner) == 1 and inner[0][0] == "num":
+        exp = Fraction(int(inner[0][1]))
+    elif (
+        len(inner) == 3
+        and inner[0][0] == "num"
+        and inner[1] == ("sym", "/")
+        and inner[2][0] == "num"
+    ):
+        if int(inner[2][1]) == 0:
+            raise ParseError("zero denominator in a center exponent")
+        exp = Fraction(int(inner[0][1]), int(inner[2][1]))
+    else:
+        raise ParseError("bad exponent in center entry")
     return tokens[: -len(exp_tokens) - 1], exp
 
 

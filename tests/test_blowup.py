@@ -359,10 +359,46 @@ def test_binomial_curves_finish_under_the_default_cap(a, b):
 
 
 def test_a_kept_transform_above_the_cap_is_still_refused(capsys):
-    # the alignment brings in y^30, so chart 0 keeps a transform of degree 72
-    assert main(["principalize", "x^6 + 5*x^5*y^5 + y^9"]) == 2
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error == {"code": "resource-cap", "message": "product degree 72 exceeds cap 64"}
+    # the alignment brings in y^30, so chart 0 keeps a transform of degree 72:
+    # the first step is refused, and the run ends capped with no step
+    assert main(["principalize", "x^6 + 5*x^5*y^5 + y^9"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "resource-capped"
+    assert doc["steps"] == []
+
+
+def test_a_cap_hit_after_the_first_step_keeps_that_step(monkeypatch):
+    from weightedres import blowup
+
+    calls = []
+
+    def capped_after_one(center, N):
+        calls.append(center)
+        if len(calls) == 2:
+            raise ResourceLimitError("product degree 65 exceeds cap 64")
+        return build_charts(center, N)
+
+    # steps: (3, 3) with charts, a divisor step, then (2) with charts
+    I = parse_ideal("x*y^2 + y^4")
+    full = principalize(I)
+    monkeypatch.setattr(blowup, "build_charts", capped_after_one)
+    trace = principalize(I)
+    assert trace.status == "resource-capped"
+    assert trace.steps == full.steps[:2]
+    assert trace.steps[0].mord == MultiOrder((3, 3))
+
+
+def test_a_cap_hit_in_a_later_step_ends_the_cli_run_with_its_steps(capsys):
+    argv = ["embed-resolve", "x^2 + y*z, x^2 + y*z + z^5", "--codim", "2"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "resource-capped"
+    assert len(doc["steps"]) == 3
+
+
+def test_a_cap_hit_at_the_start_point_is_still_an_error(capsys):
+    assert main(["--degree-cap", "5", "principalize", "x^40*y + y^41"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "resource-cap"
 
 
 def test_corpus_terminates_within_ten_steps(corpus):

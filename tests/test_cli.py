@@ -225,6 +225,13 @@ def test_input_that_ends_early_says_so(capsys, argv):
         (["tube", "(2,)"], "entry 2 of 2 is empty"),
         (["staircase", "(5,,7)"], "entry 2 of 3 is empty"),
         (["tube", "(2,"], "bad rational '(2'"),  # entries are read in order
+        (["tube", "(1e1, 20)"], "bad rational '1e1'"),
+        (["tube", "(5_0, 70)"], "bad rational '5_0'"),
+        (["tube", "(2.5, 5)"], "bad rational '2.5'"),
+        (["tube", "(+2, 3)"], "bad rational '+2'"),
+        (["staircase", "(5, 7/0)"], "bad rational '7/0'"),
+        (["round", "[x^-5]"], "bad exponent in center entry"),
+        (["round", "[x^5/2]"], "fractional exponents must be parenthesized"),
     ],
 )
 def test_an_empty_list_entry_is_a_parse_error(capsys, argv, message):
@@ -324,6 +331,12 @@ def test_tube_rejects_widths_with_unit_entries(capsys):
     assert json.loads(out)["error"]["code"] == "domain-error"
 
 
+def test_a_negative_weight_parses_and_is_refused_by_the_domain(capsys):
+    code, out = run(capsys, "tube", "(-2, 3)")
+    assert code == 1
+    assert json.loads(out)["error"]["message"] == "entries must be positive, got -2"
+
+
 def test_trace_json_replays_the_drop_verdict():
     trace = principalize(parse_ideal("x^5 + x^3*y^3 + y^7"))
     payload = trace_json(trace)
@@ -384,8 +397,10 @@ def test_huge_constant_is_refused_by_the_root_search_bound(capsys):
     start = time.perf_counter()
     code, out = run(capsys, "principalize", "x^3 - 100000000000000000039*y^3")
     assert time.perf_counter() - start < 1.0
-    assert code == 2
-    assert json.loads(out)["error"]["code"] == "resource-cap"
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "resource-capped"
+    assert doc["steps"] == []
 
 
 # -- unknown variables and malformed settings -----------------------------------

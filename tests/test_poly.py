@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from weightedres import (
     AmbientMismatchError,
@@ -154,6 +154,112 @@ def test_substitution_is_a_homomorphism(f, g):
     images = {"x": P("x + y^2"), "y": P("y - x")}
     assert (f * g).substitute(images) == f.substitute(images) * g.substitute(images)
     assert (f + g).substitute(images) == f.substitute(images) + g.substitute(images)
+
+
+def reference_substitute(f, images, variables):
+    """The term-by-term substitution that `Polynomial.substitute` replaced:
+    an unmapped variable is sent to itself as a polynomial, each term is one
+    product per factor, and the terms are added one at a time."""
+    target = tuple(variables)
+    imap = []
+    for v in f.variables:
+        img = images.get(v)
+        imap.append(Polynomial.variable(v, target) if img is None else img)
+    result = Polynomial.zero(target)
+    for exp, coeff in f.terms.items():
+        term = Polynomial.constant(coeff, target)
+        for img, e in zip(imap, exp):
+            if e:
+                term = term * img**e
+        result = result + term
+    return result
+
+
+def capped(compute, cap):
+    """compute() under the degree cap, or ResourceLimitError if it refuses."""
+    try:
+        with using_degree_cap(cap):
+            return compute()
+    except ResourceLimitError:
+        return ResourceLimitError
+
+
+XYZ = ("x", "y", "z")
+# targets: the same ambient, its reversal, and a larger one in another order
+TARGETS = (XYZ, ("z", "y", "x"), ("w", "z", "x", "u", "y"))
+
+
+@st.composite
+def substitutions(draw):
+    """(f, images, target): f in x, y, z; each of its variables is kept, sent
+    to zero, sent to one of x, y, z (so a swap can be drawn) or sent to a
+    small polynomial in the target."""
+    f = Polynomial(
+        XYZ,
+        draw(
+            st.dictionaries(
+                st.tuples(*[st.integers(0, 3)] * 3), st.integers(-4, 4), max_size=4
+            )
+        ),
+    )
+    target = draw(st.sampled_from(TARGETS))
+    images = {}
+    for v in XYZ:
+        kind = draw(st.sampled_from(("kept", "zero", "variable", "polynomial")))
+        if kind == "zero":
+            images[v] = Polynomial.zero(target)
+        elif kind == "variable":
+            images[v] = Polynomial.variable(draw(st.sampled_from(XYZ)), target)
+        elif kind == "polynomial":
+            # monomials of degree at most 2, so every term stays below 64
+            n = len(target)
+            monomials = st.lists(st.integers(0, n - 1), max_size=2).map(
+                lambda picks: tuple(picks.count(j) for j in range(n))
+            )
+            terms = draw(
+                st.dictionaries(monomials, st.integers(-3, 3), min_size=1, max_size=3)
+            )
+            images[v] = Polynomial(target, terms)
+    return f, images, target
+
+
+SWAP = {"x": P("y", XYZ), "y": P("x", XYZ)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(substitutions(), st.integers(1, 12))
+@example((P("x^3*y*z + 2*x - y^2", XYZ), SWAP, XYZ), 12)
+@example((P("x*y^2 - z", XYZ), {"y": P("0", TARGETS[2])}, TARGETS[2]), 2)
+@example((P("x*y^2*z^2", XYZ), {"x": P("0", XYZ)}, XYZ), 3)
+def test_substitute_matches_the_term_by_term_reference(drawn, cap):
+    f, images, target = drawn
+    # terms have degree at most 18, below the default cap: results agree
+    assert f.substitute(images, target) == reference_substitute(f, images, target)
+    got = capped(lambda: f.substitute(images, target), cap)
+    expected = capped(lambda: reference_substitute(f, images, target), cap)
+    if got is ResourceLimitError and expected is not ResourceLimitError:
+        # the reference stops checking a term at its first zero factor, while
+        # the kernel checks the term's moved exponents before any factor
+        assert any(images[v].is_zero() for v in f.support() & set(images))
+    else:
+        assert got == expected
+    if set(XYZ) <= set(target):
+        assert capped(lambda: f.extend_ambient(target), cap) == capped(
+            lambda: reference_substitute(f, {}, target), cap
+        )
+
+
+def test_a_swap_is_simultaneous():
+    assert P("x^2*y*z", XYZ).substitute(SWAP) == P("x*y^2*z", XYZ)
+
+
+def test_substitution_errors_are_unchanged():
+    with pytest.raises(ValueError):
+        P("x*y").substitute({"x": P("x", ("x", "z"))}, ("x", "z"))  # y is unmapped
+    with pytest.raises(AmbientMismatchError):
+        P("x*y").substitute({"x": P("x"), "y": P("y", ("x", "y", "z"))})
+    # only the images of f's own variables are checked
+    assert P("x").substitute({"x": P("y"), "w": P("w", ("w",))}) == P("y")
 
 
 @settings(max_examples=60, deadline=None)
