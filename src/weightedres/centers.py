@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import (
     AdmissibilityError,
@@ -31,6 +31,8 @@ from .errors import (
 )
 from .lattice import LatticeIdeal, MultiOrder, grading, witness_vectors
 from .poly import INFINITY, Exponent, Polynomial, PolyIdeal, power_product
+
+_Polys = TypeVar("_Polys", Polynomial, PolyIdeal)
 
 
 @dataclass(frozen=True)
@@ -47,19 +49,21 @@ class AlignStep:
         if self.var in self.tail.support():
             raise DomainError(f"alignment tail may not involve {self.var}")
 
-    def apply_aligned(self, f: Polynomial) -> Polynomial:
+    def apply_aligned(self, f: _Polys) -> _Polys:
         # express f in the new coordinates:  var -> (var - tail)/coeff
-        v = Polynomial.variable(self.var, f.variables)
-        tail = self.tail.extend_ambient(f.variables)
-        image = (v - tail).scale(Fraction(1) / self.coeff)
-        return f.substitute({self.var: image}, f.variables)
+        return self._apply(f, 1 / Fraction(self.coeff), -1 / Fraction(self.coeff))
 
-    def apply_original(self, f: Polynomial) -> Polynomial:
+    def apply_original(self, f: _Polys) -> _Polys:
         # express an aligned-coordinate polynomial in the old coordinates
-        v = Polynomial.variable(self.var, f.variables)
-        tail = self.tail.extend_ambient(f.variables)
-        image = v.scale(self.coeff) + tail
-        return f.substitute({self.var: image}, f.variables)
+        return self._apply(f, self.coeff, 1)
+
+    def _apply(self, f: _Polys, a: Fraction, b: Fraction) -> _Polys:
+        """f, a polynomial or a whole ideal, under var -> a*var + b*tail."""
+        vs = f.variables
+        i = vs.index(self.var)
+        image = {tuple(int(j == i) for j in range(len(vs))): a}
+        image.update((e, b * c) for e, c in self.tail.extend_ambient(vs).terms.items())
+        return f.substitute({self.var: Polynomial(vs, image)}, vs)
 
 
 class CoordinateChange:
@@ -81,21 +85,21 @@ class CoordinateChange:
     def then(self, step: AlignStep) -> "CoordinateChange":
         return CoordinateChange(self.variables, self.steps + (step,))
 
-    def to_aligned(self, f: Polynomial) -> Polynomial:
+    def to_aligned(self, f: _Polys) -> _Polys:
         for step in self.steps:
             f = step.apply_aligned(f)
         return f
 
-    def to_original(self, f: Polynomial) -> Polynomial:
+    def to_original(self, f: _Polys) -> _Polys:
         for step in reversed(self.steps):
             f = step.apply_original(f)
         return f
 
     def to_aligned_ideal(self, I: PolyIdeal) -> PolyIdeal:
-        return PolyIdeal(I.variables, [self.to_aligned(g) for g in I.generators])
+        return self.to_aligned(I)
 
     def to_original_ideal(self, I: PolyIdeal) -> PolyIdeal:
-        return PolyIdeal(I.variables, [self.to_original(g) for g in I.generators])
+        return self.to_original(I)
 
 
 class CenterPresentation:
@@ -166,10 +170,8 @@ class CenterPresentation:
 
     def coordinate_polynomials(self) -> list[Polynomial]:
         """The center coordinates expressed in the original coordinates."""
-        out = []
-        for v in self.coords:
-            out.append(self.change.to_original(Polynomial.variable(v, self.ambient)))
-        return out
+        amb = self.ambient
+        return [self.change.to_original(Polynomial.variable(v, amb)) for v in self.coords]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CenterPresentation):
@@ -236,10 +238,8 @@ def rounding(center: CenterPresentation) -> PolyIdeal:
     generators of the weighted block, each mapped back through the change.
     """
     amb = center.ambient
-    gens: list[Polynomial] = []
     coord_polys = dict(zip(center.coords, center.coordinate_polynomials()))
-    for v in center.s_coords():
-        gens.append(coord_polys[v])
+    gens = [coord_polys[v] for v in center.s_coords()]
     t_vars = center.t_coords()
     if t_vars:
         t_polys = [coord_polys[v] for v in t_vars]

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import shlex
 import sys
 
@@ -55,8 +56,15 @@ class _LineParser(_Parser):
         raise ParseError("a batch line cannot ask for help")
 
 
+def _integer(text: str) -> int:
+    """An optionally negative integer in ASCII digits, unlike `int`."""
+    if re.fullmatch(r"-?[0-9]+", text) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, got {value}")
     return value
@@ -104,7 +112,7 @@ def _build_parser(cls: type[_Parser]) -> _Parser:
 
     p = add("embed-resolve", help="strict-transform resolution of a subscheme")
     p.add_argument("ideal")
-    p.add_argument("--codim", type=int, required=True)
+    p.add_argument("--codim", type=_integer, required=True)
     p.add_argument("--max-steps", type=_positive_int, default=10)
 
     p = add("tube", help="tube algebra of a center or a bare width")
@@ -112,8 +120,8 @@ def _build_parser(cls: type[_Parser]) -> _Parser:
 
     p = add("rees", help="graded generators of the root Rees algebra")
     p.add_argument("center")
-    p.add_argument("--root", type=int, required=True, help="the root order N")
-    p.add_argument("--degree", type=int, default=None)
+    p.add_argument("--root", type=_integer, required=True, help="the root order N")
+    p.add_argument("--degree", type=_integer, default=None)
 
     p = add(
         "staircase",

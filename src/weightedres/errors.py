@@ -108,6 +108,6 @@ def degree_cap_from_env() -> int:
     """Read the default degree cap from WEIGHTEDRES_DEGREE_CAP, if set; a
     value that is not a positive integer is a ParseError."""
     raw = os.environ.get("WEIGHTEDRES_DEGREE_CAP", str(DEFAULT_DEGREE_CAP))
-    if not raw.isdecimal() or int(raw) < 1:
+    if not (raw.isascii() and raw.isdecimal()) or int(raw) < 1:
         raise ParseError(f"WEIGHTEDRES_DEGREE_CAP must be a positive integer, got {raw!r}")
     return int(raw)

@@ -242,14 +242,10 @@ def multiorder(I: PolyIdeal) -> InvariantResult:
 
         var, step, contact = _choose_contact(_tower_level(towers, J0, int(o) - 1))
 
+        aligned = list(collection.entries)
         if step is not None:
-            aligned = [
-                (PolyIdeal(ambient, [step.apply_aligned(g) for g in J.generators]), w)
-                for J, w in collection.entries
-            ]
+            aligned = [(step.apply_aligned(J), w) for J, w in aligned]
             change = change.then(step)
-        else:
-            aligned = list(collection.entries)
         ds.append(d)
         coords.append(var)
         chain.append(ContactStep(level, d, contact, var, step))
@@ -440,11 +436,10 @@ def reembedding_check(I: PolyIdeal, c: int) -> bool:
     ambient = list(I.variables)
     fresh = []
     for k in range(1, c + 1):
-        name = fresh_name(f"s{k}", ambient + fresh)
-        fresh.append(name)
+        fresh.append(fresh_name(f"s{k}", ambient + fresh))
     big = fresh + ambient
     gens = [Polynomial.variable(s, big) for s in fresh]
-    gens += [g.extend_ambient(big) for g in I.generators]
+    gens += I.extend_ambient(big).generators
     extended = multiorder(PolyIdeal(big, gens)).mord
     if base.is_zero():
         # a unit ideal stays a unit ideal; the principle degenerates

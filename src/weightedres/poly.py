@@ -226,68 +226,14 @@ class Polynomial:
     def substitute(
         self, images: Mapping[str, "Polynomial"], variables: Iterable[str] | None = None
     ) -> "Polynomial":
-        """Compose with a simultaneous variable substitution.
-
-        `images` maps variable names to polynomials in the target ambient;
-        the images of f's own variables must all lie in it.  A variable
-        missing from the map keeps its exponent, moved to its position in
-        the target ambient (which must contain it).  The degree cap sees
-        each term twice: `check_degree` on its moved exponents, then `*`
-        for each mapped factor.  So a change of ambient also refuses a term
-        above the cap, which no polynomial built inside the engine has.
-        """
-        if variables is not None:
-            target = tuple(variables)
-        elif images:
-            target = next(iter(images.values())).variables
-        else:
-            target = self.variables
-        kept: list[tuple[int, int]] = []
-        mapped: list[tuple[int, Polynomial]] = []
-        for i, v in enumerate(self.variables):
-            img = images.get(v)
-            if img is None:
-                kept.append((i, target.index(v)))
-            elif img.variables != target:
-                raise AmbientMismatchError("substitution images have mixed ambients")
-            else:
-                mapped.append((i, img))
-        powers: dict[tuple[int, int], Polynomial] = {}
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            moved = [0] * len(target)
-            for i, j in kept:
-                moved[j] = exp[i]
-            check_degree(sum(moved))
-            image = {tuple(moved): coeff}
-            for i, img in mapped:
-                k = exp[i]
-                if k:
-                    if (i, k) not in powers:
-                        powers[i, k] = img**k
-                    image = (Polynomial(target, image) * powers[i, k]).terms
-            for e, c in image.items():
-                out[e] = out.get(e, 0) + c
-        return Polynomial(target, out)
+        """Compose with a simultaneous variable substitution; see `_substitute`."""
+        return _substitute(self.variables, [self], images, variables)[1][0]
 
     def restrict(self, name: str) -> "Polynomial":
         """Set one variable to zero (the ambient is kept unchanged)."""
         i = self.variables.index(name)
         terms = {e: c for e, c in self.terms.items() if e[i] == 0}
         return Polynomial(self.variables, terms)
-
-    def translate(self, point: Mapping[str, Scalar]) -> "Polynomial":
-        """Shift coordinates so that `point` becomes the origin."""
-        images = {}
-        for v, val in point.items():
-            val = Fraction(val)
-            if val != 0:
-                images[v] = Polynomial.variable(v, self.variables) + Polynomial.constant(
-                    val, self.variables
-                )
-        if not images:
-            return self
-        return self.substitute(images, self.variables)
 
     def derivative(self, name: str) -> "Polynomial":
         # lowering the exponent of `name` is injective on the terms it keeps,
@@ -367,8 +313,7 @@ class Polynomial:
         return Polynomial(self.variables, terms)
 
     def extend_ambient(self, variables: Iterable[str]) -> "Polynomial":
-        """View the polynomial inside a larger ambient (superset of names):
-        the substitution with no images, under the same degree cap."""
+        """The substitution with no images: f inside a larger ambient."""
         return self.substitute({}, variables)
 
     # -- display -----------------------------------------------------------
@@ -406,6 +351,56 @@ def check_degree(degree: int) -> None:
     cap = degree_cap()
     if degree > cap:
         raise ResourceLimitError(f"product degree {degree} exceeds cap {cap}")
+
+
+def _substitute(
+    ambient: tuple[str, ...],
+    polys: Iterable[Polynomial],
+    images: Mapping[str, Polynomial],
+    variables: Iterable[str] | None,
+) -> tuple[tuple[str, ...], list[Polynomial]]:
+    """The target ambient and the images, in order, of `polys` (all over
+    `ambient`) under one simultaneous substitution.  `images` are in the
+    target ambient (checked for the ambient's own variables); a variable
+    without one keeps its exponent, moved to its place in the target.  Each
+    power of an image is computed once, when a term first needs it.  The
+    degree cap sees each term's moved exponents, then each `*` by a mapped
+    factor, so a change of ambient also refuses a term above the cap, which
+    no polynomial built inside the engine has.
+    """
+    if variables is None:
+        variables = next(iter(images.values())).variables if images else ambient
+    target = tuple(variables)
+    kept: list[tuple[int, int]] = []
+    mapped: list[tuple[int, Polynomial]] = []
+    for i, v in enumerate(ambient):
+        img = images.get(v)
+        if img is None:
+            kept.append((i, target.index(v)))
+        elif img.variables != target:
+            raise AmbientMismatchError("substitution images have mixed ambients")
+        else:
+            mapped.append((i, img))
+    powers: dict[tuple[int, int], Polynomial] = {}
+    results: list[Polynomial] = []
+    for f in polys:
+        out: dict[Exponent, Fraction] = {}
+        for exp, coeff in f.terms.items():
+            moved = [0] * len(target)
+            for i, j in kept:
+                moved[j] = exp[i]
+            check_degree(sum(moved))
+            image = {tuple(moved): coeff}
+            for i, img in mapped:
+                k = exp[i]
+                if k:
+                    if (i, k) not in powers:
+                        powers[i, k] = img**k
+                    image = (Polynomial(target, image) * powers[i, k]).terms
+            for e, c in image.items():
+                out[e] = out.get(e, 0) + c
+        results.append(Polynomial(target, out))
+    return target, results
 
 
 def power_product(
@@ -516,18 +511,20 @@ class PolyIdeal:
     def substitute(
         self, images: Mapping[str, Polynomial], variables: Iterable[str] | None = None
     ) -> "PolyIdeal":
-        target = tuple(variables) if variables is not None else None
-        gens = [g.substitute(images, target) for g in self.generators]
-        if target is None:
-            target = gens[0].variables if gens else self.variables
+        target, gens = _substitute(self.variables, self.generators, images, variables)
         return PolyIdeal(target, gens)
 
     def translate(self, point: Mapping[str, Scalar]) -> "PolyIdeal":
-        return PolyIdeal(self.variables, [g.translate(point) for g in self.generators])
+        """Shift coordinates so that `point` becomes the origin."""
+        vs = self.variables
+        images = {
+            v: Polynomial.variable(v, vs) + Polynomial.constant(val, vs)
+            for v, val in point.items() if val
+        }
+        return self.substitute(images, vs) if images else self
 
     def extend_ambient(self, variables: Iterable[str]) -> "PolyIdeal":
-        vs = tuple(variables)
-        return PolyIdeal(vs, [g.extend_ambient(vs) for g in self.generators])
+        return self.substitute({}, variables)
 
     def is_monomial(self) -> bool:
         return all(len(g.terms) == 1 for g in self.generators)

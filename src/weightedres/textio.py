@@ -2,7 +2,7 @@
 
 Polynomial grammar: identifiers are variables, `^` raises to integer powers,
 `*` between factors is optional, `+`/`-` separate terms, and coefficients
-are integers or rationals `p/q`.  Parenthesized subexpressions are allowed,
+are ASCII integers or rationals `p/q`.  Subexpressions may be parenthesized,
 so `(x+y^2)^5 + y^11` parses.  Ideals are comma-separated generator lists.
 
 Weight tuples read as `(4, 16/3, 32/5)`, each entry an optionally negative
@@ -26,7 +26,7 @@ from .lattice import MultiOrder
 from .poly import Polynomial, PolyIdeal, monomial_str
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[-+*^()/,\[\]|]))"
+    r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[-+*^()/,\[\]|]))"
 )
 
 

@@ -10,6 +10,7 @@ from weightedres import (
     LatticeIdeal,
     MultiOrder,
     Polynomial,
+    PolyIdeal,
     is_admissible,
     is_in_mord,
     leading_term_basis,
@@ -207,3 +208,25 @@ def test_change_round_trip():
         f = parse_polynomial(text, amb)
         assert change.to_original(change.to_aligned(f)) == f
         assert change.to_aligned(change.to_original(f)) == f
+
+
+def test_a_step_maps_an_ideal_as_it_maps_each_generator():
+    rng = random.Random(7)
+    amb = ("x", "y", "z")
+
+    def poly(free=None):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exp = [rng.randint(0, 3) for _ in amb]
+            if free is not None:
+                exp[amb.index(free)] = 0
+            terms[tuple(exp)] = F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        return Polynomial(amb, terms)
+
+    for _ in range(30):
+        var = rng.choice(amb)
+        step = AlignStep(var, F(rng.choice((-2, -1, 1, 3)), rng.randint(1, 2)), poly(var))
+        J = PolyIdeal(amb, [poly() for _ in range(rng.randint(1, 3))])
+        aligned = step.apply_aligned(J)
+        assert aligned.generators == tuple(step.apply_aligned(g) for g in J.generators)
+        assert step.apply_original(aligned).generators == J.generators

@@ -140,6 +140,17 @@ def test_zero_root_order_is_a_domain_error(capsys):
     assert json.loads(out)["error"]["code"] == "domain-error"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["rees", "[x^2,y^3]", "--root", "-1"], ["embed-resolve", "x^2", "--codim", "0"]],
+)
+def test_a_signed_integer_option_out_of_range_is_a_domain_error(capsys, argv):
+    # the ASCII grammar keeps the minus sign, so the domain refuses these
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "domain-error"
+
+
 def test_batch_mode(tmp_path, capsys):
     script = tmp_path / "commands.txt"
     script.write_text(
@@ -203,6 +214,12 @@ def parse_error(capsys, argv):
         ["mord"],
         ["mord", "-x^2+y^3"],  # read as an option without `--`
         ["mord", "x^2", "--degree-cap", "3"],  # a top-level option after the verb
+        # every number an option reads is written in ASCII digits
+        ["--degree-cap", "٦٤", "mord", "x^2"],
+        ["rees", "[x^5, y^7]", "--root", "3_5"],
+        ["rees", "[x^5, y^7]", "--root", "5", "--degree", "3_5"],
+        ["principalize", "x^2", "--max-steps", " 2 "],
+        ["embed-resolve", "x^2 - y^3", "--codim", "١"],
     ],
 )
 def test_usage_errors_are_parse_error_documents(capsys, argv):
@@ -232,6 +249,7 @@ def test_input_that_ends_early_says_so(capsys, argv):
         (["staircase", "(5, 7/0)"], "bad rational '7/0'"),
         (["round", "[x^-5]"], "bad exponent in center entry"),
         (["round", "[x^5/2]"], "fractional exponents must be parenthesized"),
+        (["mord", "x^٣ + y^５"], "unexpected character '٣' at position 2"),
     ],
 )
 def test_an_empty_list_entry_is_a_parse_error(capsys, argv, message):
@@ -420,7 +438,7 @@ def test_parsers_with_an_explicit_ambient_reject_unknown_variables():
             parse(text, ("x",))
 
 
-@pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-3", ""])
+@pytest.mark.parametrize("raw", ["abc", "2.5", "0", "-3", "", "٦٤"])
 def test_malformed_degree_cap_in_the_environment_is_a_parse_error(monkeypatch, capsys, raw):
     monkeypatch.setenv("WEIGHTEDRES_DEGREE_CAP", raw)
     code, out = run(capsys, "mord", "x^2")

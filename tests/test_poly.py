@@ -189,19 +189,17 @@ XYZ = ("x", "y", "z")
 TARGETS = (XYZ, ("z", "y", "x"), ("w", "z", "x", "u", "y"))
 
 
+xyz_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3), st.integers(-4, 4), max_size=4
+).map(lambda terms: Polynomial(XYZ, terms))
+
+
 @st.composite
 def substitutions(draw):
     """(f, images, target): f in x, y, z; each of its variables is kept, sent
     to zero, sent to one of x, y, z (so a swap can be drawn) or sent to a
     small polynomial in the target."""
-    f = Polynomial(
-        XYZ,
-        draw(
-            st.dictionaries(
-                st.tuples(*[st.integers(0, 3)] * 3), st.integers(-4, 4), max_size=4
-            )
-        ),
-    )
+    f = draw(xyz_polys)
     target = draw(st.sampled_from(TARGETS))
     images = {}
     for v in XYZ:
@@ -247,6 +245,39 @@ def test_substitute_matches_the_term_by_term_reference(drawn, cap):
         assert capped(lambda: f.extend_ambient(target), cap) == capped(
             lambda: reference_substitute(f, {}, target), cap
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(substitutions(), st.lists(xyz_polys, max_size=2), st.integers(1, 12))
+@example((P("x^3*y + z", XYZ), SWAP, XYZ), [P("x*y^2*z^2", XYZ)], 4)
+def test_an_ideal_substitutes_as_its_generators_do(drawn, more, cap):
+    f, images, target = drawn
+    I = PolyIdeal(XYZ, [f, *more])
+
+    def per_generator():
+        return PolyIdeal(target, [g.substitute(images, target) for g in I.generators])
+
+    got = capped(lambda: I.substitute(images, target), cap)
+    expected = capped(per_generator, cap)
+    if expected is ResourceLimitError:
+        assert got is ResourceLimitError
+    else:
+        assert got.generators == expected.generators
+
+
+def test_an_ideal_computes_each_image_power_once(monkeypatch):
+    I = PolyIdeal(XYZ, [P("x^3 + y", XYZ), P("x^3*z", XYZ), P("x^3 - z^2", XYZ)])
+    image = P("x + y", XYZ)
+    calls = []
+    power = Polynomial.__pow__
+
+    def counted(self, k):
+        calls.append(k)
+        return power(self, k)
+
+    monkeypatch.setattr(Polynomial, "__pow__", counted)
+    I.substitute({"x": image})
+    assert calls == [3]
 
 
 def test_a_swap_is_simultaneous():
