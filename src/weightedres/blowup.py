@@ -9,11 +9,12 @@ substitutes
 on the aligned coordinates, with s the exceptional coordinate and the chart
 carrying a residual action of order w_k (recorded, not quotiented: the
 grading is checked symbolically instead).  This is a monomial map, so a
-pullback and a chart transition act on exponent vectors and never multiply
-polynomials.  The same map divides by the exceptional coordinate: the
-controlled transform subtracts N from every s-exponent, the strict transform
-the least s-exponent of each generator, and the degree cap sees only the
-terms that are kept.
+transform aligns the whole ideal in one pass and then, like a chart
+transition, acts on exponent vectors without multiplying polynomials.  The
+same map divides by the exceptional coordinate: the controlled transform
+subtracts N from every s-exponent, the strict transform the least
+s-exponent of each generator, and the degree cap sees only the terms that
+are kept.
 
 The principalization driver repeats: compute the canonical center at every
 tracked rational point, blow up, transform, and record the invariant, until
@@ -108,10 +109,11 @@ class WeightedChart:
     ambient: tuple[str, ...]
     primes: dict[str, str]
     stabilizer_order: int
+    _positions: tuple[int, ...]  # of the center coordinates, in either ambient
 
     def _pull_aligned(self, aligned: Polynomial, shift: int | None = 0) -> Polynomial:
-        """The chart's monomial map on a polynomial in the center's ambient,
-        divided by s^shift (by the largest power of s it can, if None).
+        """The chart's monomial map on an aligned polynomial, divided by
+        s^shift (by the largest power of s it can, if None).
 
         On an exponent vector e it replaces the chart coordinate's entry with
         sum_j w_j * e_j - shift, the exponent of s, and keeps every other
@@ -120,9 +122,8 @@ class WeightedChart:
         degree is above the degree cap raises ResourceLimitError, as the
         product that computes it would.
         """
-        amb = self.center.ambient
-        weighted = [(amb.index(v), w) for v, w in zip(self.center.coords, self.weights)]
-        k = weighted[self.chart_index][0]
+        weighted = tuple(zip(self._positions, self.weights))
+        k = self._positions[self.chart_index]
         s_exp = {exp: sum(w * exp[p] for p, w in weighted) for exp in aligned.terms}
         shift = min(s_exp.values(), default=0) if shift is None else shift
         if any(v < shift for v in s_exp.values()):
@@ -145,20 +146,18 @@ class WeightedChart:
             v: self._pull_aligned(Polynomial.variable(v, amb)) for v in self.center.coords
         }
 
-    def transform_poly(self, f: Polynomial, shift: int | None = 0) -> Polynomial:
-        """Pull f back: align it, then apply the chart's monomial map, which
-        divides by s^shift (by default by nothing)."""
-        aligned = self.center.change.to_aligned(f)
-        if aligned.variables != self.center.ambient:
-            aligned = aligned.extend_ambient(self.center.ambient)
-        return self._pull_aligned(aligned, shift)
+    def _pull(self, I: PolyIdeal, shift: int | None) -> PolyIdeal:
+        """Align all of I once, then map each generator, divided by s^shift."""
+        gens = self.center._aligned(I).generators
+        return PolyIdeal(self.ambient, [self._pull_aligned(g, shift) for g in gens])
 
 
 def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
     L, w = grading(center.exponents)
     if N % L:
         raise DomainError(f"N={N} is not a common root order for {center}")
-    weights = [N // L * wj for wj in w]
+    weights = tuple(N // L * wj for wj in w)
+    positions = tuple(center.ambient.index(v) for v in center.coords)
     charts = []
     for k, chart_coord in enumerate(center.coords):
         taken = list(center.ambient)
@@ -176,21 +175,16 @@ def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
         )
         charts.append(
             WeightedChart(
-                center=center,
-                N=N,
-                chart_index=k,
-                exceptional=s,
-                weights=tuple(weights),
-                ambient=ambient,
-                primes=primes,
-                stabilizer_order=weights[k],
+                center=center, N=N, chart_index=k, exceptional=s, weights=weights,
+                ambient=ambient, primes=primes, stabilizer_order=weights[k],
+                _positions=positions,
             )
         )
     return charts
 
 
 def controlled_transform(I: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
-    """Pull back and divide exactly by the N-th power of the exceptional.
+    """Align I once, pull it back and divide exactly by s^N, s the exceptional.
 
     The chart substitution is injective on monomials and sends an aligned
     monomial of valuation v to s^(N*v) times an s-free monomial, so no terms
@@ -200,34 +194,32 @@ def controlled_transform(I: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
     """
     if I.variables != chart.center.ambient:
         raise AmbientMismatchError("ideal ambient differs from center ambient")
-    return PolyIdeal(chart.ambient, [chart.transform_poly(g, chart.N) for g in I.generators])
+    return chart._pull(I, chart.N)
 
 
 def strict_transform(Z: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
-    """Pull back and saturate each generator by the exceptional coordinate.
+    """Align Z once, pull it back and saturate each generator by s.
 
-    Each generator is divided once by its largest power of the exceptional
-    coordinate; generator-wise saturation is exact for principal and
-    monomial ideals, which is the supported desk-scale class.
+    Z may be written over some of the center's variables in any order (one
+    outside them is AmbientMismatchError).  Each generator is divided once
+    by its largest power of s; generator-wise saturation is exact for
+    principal and monomial ideals, which is the supported desk-scale class.
     """
-    return PolyIdeal(chart.ambient, [chart.transform_poly(g, None) for g in Z.generators])
+    return chart._pull(Z, None)
 
 
 def chart_grading_ok(chart: WeightedChart, transform: PolyIdeal) -> bool:
     """Each generator is homogeneous for the residual action and its weight
-    vanishes modulo the stabilizer order."""
-    order = chart.stabilizer_order
-    s_idx = chart.ambient.index(chart.exceptional)
-    prime_weight = {}
-    for j, v in enumerate(chart.center.coords):
-        if v in chart.primes:
-            prime_weight[chart.ambient.index(chart.primes[v])] = chart.weights[j]
-    for g in transform.generators:
-        for exp in g.terms:
-            w = exp[s_idx] - sum(exp[i] * wt for i, wt in prime_weight.items())
-            if w % order != 0:
-                return False
-    return True
+    vanishes modulo the stabilizer order w_k.  On an exponent vector that
+    weight is e_s - sum_{j != k} w_j * e_j, which is e_s - sum_j w_j * e_j
+    modulo w_k, since s sits at the chart coordinate's position."""
+    s = chart._positions[chart.chart_index]
+    weighted = tuple(zip(chart._positions, chart.weights))
+    return all(
+        (exp[s] - sum(w * exp[p] for p, w in weighted)) % chart.stabilizer_order == 0
+        for g in transform.generators
+        for exp in g.terms
+    )
 
 
 # -- chart transition (overlap) check ----------------------------------------
@@ -250,8 +242,7 @@ def transition_agrees(
     charts = build_charts(center, N)
     Ta = controlled_transform(I, charts[i])
     Tb = controlled_transform(I, charts[j])
-    w = charts[i].weights
-    pos = [center.ambient.index(v) for v in center.coords]
+    w, pos = charts[i].weights, charts[i]._positions
 
     def to_chart_i(e: tuple[int, ...]) -> tuple[Fraction, ...]:
         out: list = list(e)

@@ -61,8 +61,9 @@ class AlignStep:
         """f, a polynomial or a whole ideal, under var -> a*var + b*tail."""
         vs = f.variables
         i = vs.index(self.var)
+        tail = self.tail if self.tail.variables == vs else self.tail.extend_ambient(vs)
         image = {tuple(int(j == i) for j in range(len(vs))): a}
-        image.update((e, b * c) for e, c in self.tail.extend_ambient(vs).terms.items())
+        image.update((e, b * c) for e, c in tail.terms.items())
         return f.substitute({self.var: Polynomial(vs, image)}, vs)
 
 
@@ -171,7 +172,17 @@ class CenterPresentation:
     def coordinate_polynomials(self) -> list[Polynomial]:
         """The center coordinates expressed in the original coordinates."""
         amb = self.ambient
-        return [self.change.to_original(Polynomial.variable(v, amb)) for v in self.coords]
+        coords = PolyIdeal(amb, [Polynomial.variable(v, amb) for v in self.coords])
+        return list(self.change.to_original(coords).generators)
+
+    def _aligned(self, I: PolyIdeal) -> PolyIdeal:
+        """I, over some of the ambient's variables in any order, in the
+        aligned coordinates over the ambient itself."""
+        if not set(I.variables) <= set(self.ambient):
+            raise AmbientMismatchError(f"{I.variables} is not within the ambient {self.ambient}")
+        if I.variables != self.ambient:
+            I = I.extend_ambient(self.ambient)
+        return self.change.to_aligned(I)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CenterPresentation):
@@ -225,10 +236,12 @@ def nu_valuation(f: Polynomial, center: CenterPresentation) -> Fraction | float:
 
 
 def is_admissible(I: PolyIdeal, center: CenterPresentation) -> bool:
-    """True iff nu >= 1 on every generator (i.e. I is contained in the center)."""
+    """True iff nu >= 1 on every generator (i.e. I is contained in the center):
+    L*nu >= L on every term of every aligned generator."""
     if I.variables != center.ambient:
         raise AmbientMismatchError("ideal ambient differs from center ambient")
-    return all(nu_valuation(g, center) >= 1 for g in I.generators)
+    _, L, grade = _grader(center, center.ambient)
+    return all(grade(e) >= L for g in center._aligned(I).generators for e in g.terms)
 
 
 def rounding(center: CenterPresentation) -> PolyIdeal:
@@ -295,6 +308,9 @@ def leading_term_decomposition(
     (constant when the center is supported at the origin).  Terms of value
     > 1 are discarded; a term of value < 1 is an admissibility violation.
     """
+    used = {v for s in center.change.steps for v in (s.var, *s.tail.variables)}
+    if not used.union(center.coords) <= set(f.variables):
+        raise AmbientMismatchError(f"{f.variables} lacks a variable of {center}")
     g = center.change.to_aligned(f)
     amb = g.variables
     pos, L, grade = _grader(center, amb)

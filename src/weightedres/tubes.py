@@ -514,19 +514,11 @@ def tubular_blowup_check(
     controls Z.
     """
     charts = build_charts(center, N)
+    # N*nu(g) is an integer: build_charts refuses an N that L does not divide
+    shifts = [int(nu_valuation(g, center) * N) for g in Z_ideal.generators]
+    aligned = center._aligned(Z_ideal).generators
     for chart in charts:
-        right = strict_transform(Z_ideal, chart)
-        gens = []
-        for g in Z_ideal.generators:
-            val = nu_valuation(g, center) * N
-            if isinstance(val, float) or Fraction(val).denominator != 1:
-                return False
-            pulled = chart.transform_poly(g)
-            divided = pulled.divide_by_variable_power(chart.exceptional, int(val))
-            if divided is None:
-                return False
-            gens.append(divided)
-        left = PolyIdeal(chart.ambient, gens)
-        if left != right:
+        left = PolyIdeal(chart.ambient, map(chart._pull_aligned, aligned, shifts))
+        if left != strict_transform(Z_ideal, chart):
             return False
     return True

@@ -12,12 +12,15 @@ from weightedres import (
     controlled_transform,
     embedded_resolve,
     invariant_drop_check,
+    is_admissible,
     leading_term_projection,
     minimal_root,
     multiorder,
+    nu_valuation,
     parse_ideal,
     principalize,
     rees_generators,
+    rounding,
     strict_transform,
 )
 from weightedres.blowup import (
@@ -27,6 +30,7 @@ from weightedres.blowup import (
     chart_grading_ok,
     transition_agrees,
 )
+from weightedres.centers import AlignStep, leading_term_decomposition
 from weightedres.cli import main
 from weightedres.errors import (
     DEFAULT_DEGREE_CAP,
@@ -128,7 +132,11 @@ def _pullback_or_cap(pull):
 def test_chart_pullback_matches_the_substitution(f, center, cap):
     # the monomial-map pullback against the polynomial substitution it
     # replaces: both return the same polynomial or both hit the degree cap,
-    # under the drawn cap and on either side of the pullback's degree
+    # under the drawn cap and on either side of the pullback's degree.  Both
+    # sides re-embed f in the center's ambient before aligning it, so no
+    # alignment step re-embeds its tail (which alone could meet a low cap),
+    # and an all-zero f is the zero transform on both
+    I = PolyIdeal(f.variables, [f])
     for chart in build_charts(center, minimal_root(center.exponents)):
         images = chart.substitution
         s = Polynomial.variable(chart.exceptional, chart.ambient)
@@ -137,54 +145,76 @@ def test_chart_pullback_matches_the_substitution(f, center, cap):
             unit = Polynomial.variable(prime, chart.ambient) if prime else s**0
             assert images[v] == s**w * unit
         with using_degree_cap(10**6):
-            top = chart.transform_poly(f).total_degree()
+            top = max((g.total_degree() for g in chart._pull(I, 0).generators), default=0)
         for c in {cap, max(1, top - 1), max(1, top)}:
             with using_degree_cap(c):
-                new = _pullback_or_cap(lambda: chart.transform_poly(f))
+                new = _pullback_or_cap(lambda: chart._pull(I, 0))
                 old = _pullback_or_cap(
-                    lambda: center.change.to_aligned(f).substitute(images, chart.ambient)
+                    lambda: center.change.to_aligned(I.extend_ambient(center.ambient))
+                    .substitute(images, chart.ambient)
                 )
             assert new == old
 
 
+def _first_refusal(kept_gens, c):
+    """The error a generator-wise chart pass meets first under degree cap c:
+    a generator it cannot divide (None), or a kept term above the cap."""
+    for kept in kept_gens:
+        if kept is None:
+            return AdmissibilityError
+        if kept.total_degree() > c:
+            return ResourceLimitError
+    return None
+
+
 @settings(max_examples=80, deadline=None)
-@given(oracle_polynomials(), st.sampled_from(ORACLE_CENTERS), st.integers(1, 60))
+@given(
+    st.lists(oracle_polynomials(), min_size=1, max_size=3),
+    st.sampled_from(ORACLE_CENTERS),
+    st.integers(1, 60),
+)
 # s-exponents N - 1 and N: one short of admissible, and exactly admissible
-@example(Polynomial(("x", "y", "z"), {(2, 4, 0): 1, (5, 0, 0): 1}), ORACLE_CENTERS[0], 8)
-@example(Polynomial(("x", "y", "z"), {(5, 0, 0): 1, (0, 0, 3): 2}), ORACLE_CENTERS[0], 8)
-def test_one_chart_pass_matches_pull_then_divide(f, center, cap):
-    # the transforms divide by the exceptional on exponent vectors; the
-    # reference pulls the whole generator back and divides it afterwards
-    I = PolyIdeal(center.ambient, [f.extend_ambient(center.ambient)])
+@example([Polynomial(("x", "y", "z"), {(2, 4, 0): 1, (5, 0, 0): 1})], ORACLE_CENTERS[0], 8)
+@example([Polynomial(("x", "y", "z"), {(5, 0, 0): 1, (0, 0, 3): 2})], ORACLE_CENTERS[0], 8)
+def test_one_chart_pass_matches_pull_then_divide(fs, center, cap):
+    # the transforms align the whole ideal once and divide by the exceptional
+    # on exponent vectors; the reference aligns, re-embeds and pulls back each
+    # generator on its own and divides it afterwards.  Z is written in the
+    # first drawn ambient, a permutation of the center's; I is Z re-embedded.
+    names = fs[0].variables
+    Z = PolyIdeal(names, [f.extend_ambient(names) for f in fs])
+    I = Z.extend_ambient(center.ambient)
     for chart in build_charts(center, minimal_root(center.exponents)):
         s = chart.exceptional
         with using_degree_cap(10**6):
-            full = chart.transform_poly(f)
-            controlled = full.divide_by_variable_power(s, chart.N)
-            strict = full.divide_by_variable_power(s, full.min_power_of(s))
-            assert strict_transform(I, chart) == PolyIdeal(chart.ambient, [strict])
-            if controlled is None:
+            full = [
+                center.change.to_aligned(g)
+                .extend_ambient(center.ambient)
+                .substitute(chart.substitution, chart.ambient)
+                for g in Z.generators
+            ]
+            controlled = [p.divide_by_variable_power(s, chart.N) for p in full]
+            strict = [p.divide_by_variable_power(s, p.min_power_of(s)) for p in full]
+            for ideal in (Z, I):
+                assert strict_transform(ideal, chart) == PolyIdeal(chart.ambient, strict)
+            if None in controlled:
                 with pytest.raises(AdmissibilityError):
                     controlled_transform(I, chart)
             else:
-                assert controlled_transform(I, chart) == PolyIdeal(chart.ambient, [controlled])
+                assert controlled_transform(I, chart) == PolyIdeal(chart.ambient, controlled)
         if center.change.steps:
             continue  # a shear's own products meet the cap before the chart map
         # the cap sees only the kept terms, on either side of their degree
-        for kept, transform in ((controlled, controlled_transform), (strict, strict_transform)):
-            top = kept.total_degree() if kept is not None else 0
-            for c in {cap, max(1, top - 1), max(1, top)}:
+        for kept_gens, transform in ((controlled, controlled_transform), (strict, strict_transform)):
+            tops = [k.total_degree() for k in kept_gens if k is not None]
+            for c in {cap} | {max(1, t + d) for t in tops for d in (-1, 0)}:
                 with using_degree_cap(c):
-                    if kept is None:
-                        expected = AdmissibilityError  # refused before any degree check
-                    else:
-                        expected = ResourceLimitError if top > c else None
                     try:
                         transform(I, chart)
                         raised = None
                     except (AdmissibilityError, ResourceLimitError) as err:
                         raised = type(err)
-                    assert raised is expected, (str(f), chart.chart_index, c)
+                    assert raised is _first_refusal(kept_gens, c), (str(I), chart.chart_index, c)
 
 
 def test_controlled_transform_trivial():
@@ -208,6 +238,61 @@ def test_transform_and_projection_reject_an_ideal_in_another_ambient():
         controlled_transform(I, build_charts(J, 6)[0])
     with pytest.raises(AmbientMismatchError):
         leading_term_projection(I, J)
+
+
+def test_strict_transform_and_leading_terms_reject_a_missing_center_variable():
+    I = parse_ideal("x^2 + z^3", ("x", "z"))
+    J = parse_center("[x^2, y^3]")
+    with pytest.raises(AmbientMismatchError):
+        strict_transform(I, build_charts(J, 6)[0])
+    with pytest.raises(AmbientMismatchError):
+        leading_term_decomposition(I.generators[0], J)
+    # the aligning step's tail needs w, which f lacks
+    sheared = parse_center("[(x + w)^2, y^3]", ("x", "y", "w"))
+    with pytest.raises(AmbientMismatchError):
+        leading_term_decomposition(parse_polynomial("x^2 + y^3", ("x", "y")), sheared)
+
+
+def test_an_ideal_aligns_once_per_step(monkeypatch):
+    calls = []
+    apply = AlignStep._apply
+
+    def counted(self, f, a, b):
+        calls.append(self.var)
+        return apply(self, f, a, b)
+
+    J = ORACLE_CENTERS[1]  # [(x + y^2)^3, y^7]: one shear step
+    u, v = J.coordinate_polynomials()
+    z = Polynomial.variable("z", J.ambient)
+    I = PolyIdeal(J.ambient, [u**3, v**7, u**3 * z])
+    two_steps = parse_center("[(x + y^2)^3, (y + z)^5]", ("x", "y", "z"))
+    assert len(two_steps.change.steps) == 2
+    monkeypatch.setattr(AlignStep, "_apply", counted)
+    controlled_transform(I, build_charts(J, minimal_root(J.exponents))[0])
+    assert calls == ["x"]
+    calls.clear()
+    two_steps.coordinate_polynomials()
+    assert calls == ["y", "x"]
+
+
+@st.composite
+def admissibility_cases(draw):
+    center = draw(st.sampled_from(ORACLE_CENTERS))
+    inside = rounding(center).generators
+    gens = []
+    for f in draw(st.lists(oracle_polynomials(), min_size=1, max_size=3)):
+        g = f.extend_ambient(center.ambient)
+        if draw(st.booleans()):  # a multiple of a rounding generator lies in the center
+            g = g * draw(st.sampled_from(inside))
+        gens.append(g)
+    return PolyIdeal(center.ambient, gens), center
+
+
+@settings(max_examples=80, deadline=None)
+@given(admissibility_cases())
+def test_is_admissible_is_nu_at_least_one_on_every_generator(case):
+    I, center = case
+    assert is_admissible(I, center) == all(nu_valuation(g, center) >= 1 for g in I.generators)
 
 
 def test_strict_transform_mechanics():
