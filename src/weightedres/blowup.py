@@ -36,7 +36,6 @@ from fractions import Fraction
 from .centers import CenterPresentation
 from .errors import (
     AdmissibilityError,
-    AmbientMismatchError,
     ContactAlignmentError,
     DomainError,
     InvalidMultiOrderError,
@@ -72,18 +71,20 @@ def rees_generators(
     generators on the center coordinates are the minimal exponent vectors a
     with N * sum a_k/d_k >= n, the staircase of the scaled tuple d * n/N
     (degree 0 is generated by 1).  Returns {degree: minimal generators} for
-    all degrees up to N (or just the requested one).
+    all degrees up to N (or just the requested one).  Degree n is generated
+    by monomials u^a t^n, each of total degree at least n, so the degree cap
+    refuses a request whose largest degree is above it before any is built.
     """
     if N < 1:
         raise DomainError(f"the root order N must be positive, got {N}")
     for e in center.exponents:
         if N % e.numerator:
             raise DomainError(f"N={N} does not clear the exponent {e}")
-    degrees = [degree] if degree is not None else list(range(N + 1))
+    if degree is not None and not 0 <= degree <= N:
+        raise DomainError("Rees degrees are requested in the range 0..N")
+    check_degree(N if degree is None else degree)
     out: dict[int, list[tuple[int, ...]]] = {}
-    for n in degrees:
-        if n < 0 or n > N:
-            raise DomainError("Rees degrees are requested in the range 0..N")
+    for n in range(N + 1) if degree is None else (degree,):
         if n == 0:
             out[n] = [(0,) * len(center.exponents)]
         else:
@@ -186,14 +187,14 @@ def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
 def controlled_transform(I: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
     """Align I once, pull it back and divide exactly by s^N, s the exceptional.
 
-    The chart substitution is injective on monomials and sends an aligned
-    monomial of valuation v to s^(N*v) times an s-free monomial, so no terms
-    cancel and s^N divides a pulled-back generator exactly when every term
-    has valuation >= 1.  The division therefore fails, with
-    AdmissibilityError, exactly when the center is not admissible for I.
+    I may be written over some of the center's variables in any order, as in
+    `strict_transform`.  The chart substitution is injective on monomials
+    and sends an aligned monomial of valuation v to s^(N*v) times an s-free
+    monomial, so no terms cancel and s^N divides a pulled-back generator
+    exactly when every term has valuation >= 1.  The division therefore
+    fails, with AdmissibilityError, exactly when the center is not
+    admissible for I.
     """
-    if I.variables != chart.center.ambient:
-        raise AmbientMismatchError("ideal ambient differs from center ambient")
     return chart._pull(I, chart.N)
 
 

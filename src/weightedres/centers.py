@@ -175,9 +175,10 @@ class CenterPresentation:
         coords = PolyIdeal(amb, [Polynomial.variable(v, amb) for v in self.coords])
         return list(self.change.to_original(coords).generators)
 
-    def _aligned(self, I: PolyIdeal) -> PolyIdeal:
-        """I, over some of the ambient's variables in any order, in the
-        aligned coordinates over the ambient itself."""
+    def _aligned(self, I: _Polys) -> _Polys:
+        """I, a polynomial or an ideal over some of the ambient's variables
+        in any order, in the aligned coordinates over the ambient itself:
+        the one entry through which every reader of the center aligns."""
         if not set(I.variables) <= set(self.ambient):
             raise AmbientMismatchError(f"{I.variables} is not within the ambient {self.ambient}")
         if I.variables != self.ambient:
@@ -217,30 +218,26 @@ class CenterPresentation:
 # -- valuation and admissibility --------------------------------------------
 
 
-def _grader(center: CenterPresentation, variables: tuple[str, ...]):
-    """Coordinate positions in `variables`, L, and the map exponent -> L*nu."""
+def _grader(center: CenterPresentation):
+    """Coordinate positions in the ambient, L, and the map exponent -> L*nu."""
     L, w = grading(center.exponents)
-    pos = [variables.index(v) for v in center.coords]
+    pos = [center.ambient.index(v) for v in center.coords]
     return pos, L, lambda exp: sum(wj * exp[i] for i, wj in zip(pos, w))
 
 
 def nu_valuation(f: Polynomial, center: CenterPresentation) -> Fraction | float:
     """min over terms of the weighted exponent sum; +inf for the zero poly."""
-    if f.variables != center.ambient:
-        raise AmbientMismatchError("polynomial ambient differs from center ambient")
-    g = center.change.to_aligned(f)
+    g = center._aligned(f)
     if g.is_zero():
         return INFINITY
-    _, L, grade = _grader(center, g.variables)
+    _, L, grade = _grader(center)
     return Fraction(min(map(grade, g.terms)), L)
 
 
 def is_admissible(I: PolyIdeal, center: CenterPresentation) -> bool:
     """True iff nu >= 1 on every generator (i.e. I is contained in the center):
     L*nu >= L on every term of every aligned generator."""
-    if I.variables != center.ambient:
-        raise AmbientMismatchError("ideal ambient differs from center ambient")
-    _, L, grade = _grader(center, center.ambient)
+    _, L, grade = _grader(center)
     return all(grade(e) >= L for g in center._aligned(I).generators for e in g.terms)
 
 
@@ -298,25 +295,16 @@ def leading_term_basis(center: CenterPresentation) -> LeadingTerm:
     return LeadingTerm(center.coords, tuple(sols))
 
 
-def leading_term_decomposition(
-    f: Polynomial, center: CenterPresentation
-) -> dict[Exponent, Polynomial]:
-    """Decompose the weight-1 part of f over the monomial basis.
-
-    Returns a map from basis exponents (over the center coordinates) to
-    coefficients; each coefficient is a polynomial in the free variables
-    (constant when the center is supported at the origin).  Terms of value
-    > 1 are discarded; a term of value < 1 is an admissibility violation.
-    """
-    used = {v for s in center.change.steps for v in (s.var, *s.tail.variables)}
-    if not used.union(center.coords) <= set(f.variables):
-        raise AmbientMismatchError(f"{f.variables} lacks a variable of {center}")
-    g = center.change.to_aligned(f)
-    amb = g.variables
-    pos, L, grade = _grader(center, amb)
+def _decompose(aligned: Polynomial, center: CenterPresentation) -> dict[Exponent, Polynomial]:
+    """The weight-1 part of an aligned polynomial over the monomial basis:
+    basis exponent (over the center coordinates) -> coefficient over the
+    ambient's free variables, in ambient order.  Terms of value > 1 are
+    discarded; a term of value < 1 is an admissibility violation."""
+    amb = center.ambient
+    pos, L, grade = _grader(center)
     free_idx = [i for i in range(len(amb)) if i not in pos]
     out: dict[Exponent, dict[Exponent, Fraction]] = {}
-    for exp, coeff in g.terms.items():
+    for exp, coeff in aligned.terms.items():
         val = grade(exp)
         if val < L:
             raise AdmissibilityError(
@@ -333,19 +321,23 @@ def leading_term_decomposition(
     }
 
 
+def leading_term_decomposition(
+    f: Polynomial, center: CenterPresentation
+) -> dict[Exponent, Polynomial]:
+    """Decompose the weight-1 part of f over the monomial basis.
+
+    f may be written over some of the center's ambient variables in any
+    order.  Returns a map from basis exponents (over the center coordinates)
+    to coefficients; each coefficient is a polynomial in the free variables
+    (constant when the center is supported at the origin).  A term of value
+    < 1 raises AdmissibilityError.
+    """
+    return _decompose(center._aligned(f), center)
+
+
 def leading_term_projection(I: PolyIdeal, center: CenterPresentation) -> LeadingTerm:
-    """Project an admissible ideal's generators onto the weight-1 piece;
-    the decomposition of each generator raises AdmissibilityError if the
-    ideal is not admissible."""
-    if I.variables != center.ambient:
-        raise AmbientMismatchError("ideal ambient differs from center ambient")
+    """Align I once and project each generator onto the weight-1 piece;
+    a generator of valuation < 1 raises AdmissibilityError."""
     base = leading_term_basis(center)
-    rows = []
-    for g in I.generators:
-        decomp = leading_term_decomposition(g, center)
-        row = tuple(
-            (exp, coeff) for exp, coeff in decomp.items() if not coeff.is_zero()
-        )
-        if row:
-            rows.append(row)
-    return LeadingTerm(base.coords, base.basis, tuple(rows))
+    rows = [tuple(_decompose(g, center).items()) for g in center._aligned(I).generators]
+    return LeadingTerm(base.coords, base.basis, tuple(row for row in rows if row))

@@ -13,11 +13,17 @@ import math
 
 from .errors import DomainError
 from .lattice import LatticeIdeal, MultiOrder
+from .poly import check_degree
 
 
 def _grid_data(d: MultiOrder):
+    """The lattice, its minimal generators and the grid size.  The grid grows
+    with the entries, and an entry's pure power is a minimal generator of
+    degree ceil(entry), so the degree cap refuses an entry above it."""
     if len(d) != 2:
         raise DomainError("staircase diagrams need exactly two entries")
+    for e in d.entries:
+        check_degree(math.ceil(e))
     lattice = LatticeIdeal(d)
     gens = set(lattice.minimal_generators())
     rows = math.ceil(d.entries[0]) + 2

@@ -247,9 +247,10 @@ def test_strict_transform_and_leading_terms_reject_a_missing_center_variable():
         strict_transform(I, build_charts(J, 6)[0])
     with pytest.raises(AmbientMismatchError):
         leading_term_decomposition(I.generators[0], J)
-    # the aligning step's tail needs w, which f lacks
+    # f lacks the aligning step's w, so it is read on (x, y, w): there
+    # x^2 = (x + w)^2 - 2*(x + w)*w + w^2 has terms below the center
     sheared = parse_center("[(x + w)^2, y^3]", ("x", "y", "w"))
-    with pytest.raises(AmbientMismatchError):
+    with pytest.raises(AdmissibilityError, match="term of valuation 1/2"):
         leading_term_decomposition(parse_polynomial("x^2 + y^3", ("x", "y")), sheared)
 
 
@@ -271,8 +272,58 @@ def test_an_ideal_aligns_once_per_step(monkeypatch):
     controlled_transform(I, build_charts(J, minimal_root(J.exponents))[0])
     assert calls == ["x"]
     calls.clear()
+    assert len(leading_term_projection(I, J).rows) == 3
+    assert calls == ["x"]
+    calls.clear()
     two_steps.coordinate_polynomials()
     assert calls == ["y", "x"]
+
+
+def _over_first(f: Polynomial, k: int) -> Polynomial:
+    """f with its variables after the first k set to 1."""
+    terms: dict = {}
+    for e, c in f.terms.items():
+        terms[e[:k]] = terms.get(e[:k], 0) + c
+    return Polynomial(f.variables[:k], terms)
+
+
+def _projection_or_refusal(I, center):
+    try:
+        return leading_term_projection(I, center)
+    except AdmissibilityError:
+        return AdmissibilityError
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(oracle_polynomials(), min_size=1, max_size=3), st.integers(1, 3))
+def test_center_readers_take_an_ideal_over_part_of_the_ambient_in_any_order(fs, k):
+    # Z is written over the first k variables of the first drawn (permuted)
+    # ambient; every reader must answer it as it answers Z re-embedded in
+    # the center's ambient, and the projection's one aligned pass must give
+    # the rows of the generator-wise decompositions
+    names = fs[0].variables
+    Z = PolyIdeal(names[:k], [_over_first(f.extend_ambient(names), k) for f in fs])
+    for center in ORACLE_CENTERS:
+        I = Z.extend_ambient(center.ambient)
+        assert is_admissible(Z, center) == is_admissible(I, center)
+        for g, h in zip(Z.generators, I.generators):
+            assert nu_valuation(g, center) == nu_valuation(h, center)
+        projection = _projection_or_refusal(Z, center)
+        assert projection == _projection_or_refusal(I, center)
+        if projection is not AdmissibilityError:
+            rows = [tuple(leading_term_decomposition(g, center).items()) for g in Z.generators]
+            assert projection.rows == tuple(row for row in rows if row)
+
+
+def test_a_unit_in_a_reordered_ambient_is_read_on_the_center_ambient():
+    # aligning f = 1 in its own ambient (z, y, x) would re-embed the shear's
+    # tail y^2 there, which alone meets cap 1; read on the center's ambient,
+    # both orders give the same refusal: 1 is not in the center
+    J = ORACLE_CENTERS[1]  # [(x + y^2)^3, y^7]
+    with using_degree_cap(1):
+        for names in (("z", "y", "x"), J.ambient):
+            with pytest.raises(AdmissibilityError):
+                leading_term_decomposition(Polynomial.constant(1, names), J)
 
 
 @st.composite

@@ -192,6 +192,27 @@ def test_degree_cap_of_a_call_is_gone_when_it_returns(capsys):
     assert multiorder(parse_ideal("x^9+y^10")).mord == MultiOrder((9, 10))
 
 
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["rees", "[x^2, y^3]", "--root", "6000000000000"], None),
+        (["staircase", "(20000,20001)"], None),
+        (["rees", "[x^7, y^11]", "--root", "77"], "77"),
+        (["staircase", "(65,66)"], "66"),
+    ],
+)
+def test_rees_and_staircase_sizes_meet_the_degree_cap(capsys, argv, cap):
+    # the largest Rees degree listed and each staircase entry are degrees the
+    # output needs, so the cap refuses them before anything is built
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert json.loads(captured.out)["error"]["code"] == "resource-cap"
+    if cap is not None:
+        code, out = run(capsys, "--degree-cap", cap, *argv)
+        assert code == 0 and out
+
 # -- usage errors and unwritable files -------------------------------------------
 
 

@@ -1,13 +1,17 @@
-"""The benchmark's tracer still finds every function it wraps.
+"""The benchmark's tracer still finds every function it wraps, and the
+benchmark harness still starts on every workload.
 
 `perfbench/tracing.py` names the traced functions by module and attribute
-path; renaming or deleting one of them would otherwise show only as a failed
-traced benchmark run.
+path; renaming or deleting one of them, or an error at package import, would
+otherwise show only as a failed benchmark run.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import weightedres.cli  # noqa: F401  (loads every module the tracer patches)
@@ -24,3 +28,48 @@ def test_the_tracer_installs_over_the_package():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+HARNESS = r"""
+import sys
+from pathlib import Path
+
+perfbench, src, workdir = sys.argv[1:]
+sys.path[:0] = [perfbench, src]
+import run
+from tracing import Tracer
+from workloads import CRASHED, WRONG, make_workloads
+
+for name, workload in make_workloads(Path(workdir)).items():
+    wr, stream, first = run.setup(workload, 1)
+    for item in first:
+        out, err, _, _ = run.call_once(workload, wr, item)
+        v = run.verdict(workload, wr, item, out, err)
+        assert v not in (CRASHED, WRONG), (name, item.payload, v, repr(err))
+    tracer = Tracer()
+    tracer.install()
+    tracer.uninstall()
+    print(name, len(first))
+"""
+
+
+def test_every_benchmark_workload_sets_up_runs_a_cycle_and_traces(tmp_path):
+    # the benchmark's own start on each workload: a fresh import, the
+    # warm-up pass, the first timed cycle with no crashed or wrong item, and
+    # the tracer installed over the fresh package.  A subprocess, because
+    # the harness replaces weightedres in sys.modules.
+    root = TRACING.parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "WEIGHTEDRES_DEGREE_CAP"}
+    done = subprocess.run(
+        [sys.executable, "-c", HARNESS, str(root / "perfbench"), str(root / "src"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert [line.split()[0] for line in done.stdout.splitlines()] == [
+        "mord-towers",
+        "resolve-drivers",
+        "cli-corpus",
+    ]
