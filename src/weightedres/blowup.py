@@ -82,7 +82,7 @@ def rees_generators(
             raise DomainError(f"N={N} does not clear the exponent {e}")
     if degree is not None and not 0 <= degree <= N:
         raise DomainError("Rees degrees are requested in the range 0..N")
-    check_degree(N if degree is None else degree)
+    check_degree(N if degree is None else degree, "Rees")
     out: dict[int, list[tuple[int, ...]]] = {}
     for n in range(N + 1) if degree is None else (degree,):
         if n == 0:
@@ -334,8 +334,10 @@ def _horner(p: list, r: Fraction) -> tuple[list, Fraction]:
 
 def _rational_roots(p: list[Fraction]) -> list[Fraction]:
     """Rational roots, ascending, of the dense p; a constant has none.
-    Candidates +-a/b come from trial division of the integral trailing and
-    leading coefficients once the root 0 is split off, up to ROOT_SEARCH_BOUND."""
+    Candidates +-a/b in lowest terms come from trial division of the integral
+    trailing and leading coefficients once the root 0 is split off, up to
+    ROOT_SEARCH_BOUND.  Each is tested in integers: b^n p(a/b) by Horner on
+    the coefficients c_(n-k) b^k, so no fraction is formed."""
     if len(p) < 2:
         return []
     low = next(k for k, c in enumerate(p) if c)
@@ -359,12 +361,17 @@ def _rational_roots(p: list[Fraction]) -> list[Fraction]:
         return sorted(set(out))
 
     roots = {Fraction(0)} if low else set()
-    for a in divisors(trailing):
-        for b in divisors(leading):
-            for sign in (1, -1):
-                r = Fraction(sign * a, b)
-                if _horner(ints, r)[1] == 0:
-                    roots.add(r)
+    for b in divisors(leading):
+        homogenized = [c * b**k for k, c in enumerate(reversed(ints))]
+        for a in divisors(trailing):
+            if math.gcd(a, b) > 1:
+                continue  # a/b in lowest terms is a candidate of its own
+            for r in (a, -a):
+                acc = 0
+                for c in homogenized:
+                    acc = acc * r + c
+                if acc == 0:
+                    roots.add(Fraction(r, b))
     return sorted(roots)
 
 

@@ -270,28 +270,34 @@ class Polynomial:
         of divisor.
 
         One polynomial is a Groebner basis of the ideal it generates, so r is
-        the unique normal form of self modulo (divisor).  The leading term of
-        what is left either cancels against a multiple of divisor or moves to
-        r; either way it strictly decreases, so the loop ends.
+        the unique normal form of self modulo (divisor).  What is left is one
+        term map; its leading term either moves to r or cancels, the matching
+        multiple of divisor's tail subtracted in place, so it strictly
+        decreases and the loop ends.  The degree cap sees each cancelled term.
         """
         self._check_ambient(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
-        vs = self.variables
         lead_exp, lead_c = divisor.leading()
+        tail = [(e, c) for e, c in divisor.terms.items() if e != lead_exp]
         q: dict[Exponent, Fraction] = {}
         r: dict[Exponent, Fraction] = {}
-        rest = self
-        while not rest.is_zero():
-            exp, c = rest.leading()
+        rest = dict(self.terms)
+        while rest:
+            exp = max(rest, key=_grlex_key)
+            c = rest.pop(exp)
             diff = tuple(a - b for a, b in zip(exp, lead_exp))
             if any(d < 0 for d in diff):
                 r[exp] = c
-                rest = rest - Polynomial.monomial(exp, vs, c)
-            else:
-                q[diff] = c / lead_c
-                rest = rest - divisor * Polynomial.monomial(diff, vs, c / lead_c)
-        return Polynomial(vs, q), Polynomial(vs, r)
+                continue
+            check_degree(sum(exp))
+            q[diff] = m = c / lead_c
+            for e, t in tail:
+                key = tuple(a + b for a, b in zip(e, diff))
+                rest[key] = rest.get(key, 0) - m * t
+                if not rest[key]:
+                    del rest[key]
+        return Polynomial(self.variables, q), Polynomial(self.variables, r)
 
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
         """Return self / divisor if the division is exact, else None."""
@@ -344,13 +350,13 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def check_degree(degree: int) -> None:
-    """Raise ResourceLimitError when a product of this total degree would
+def check_degree(degree: int, what: str = "product") -> None:
+    """Raise ResourceLimitError, naming `what`, when its total degree would
     exceed the current degree cap; `*` and the weighted-blowup chart map,
     on each term it keeps, both apply this one rule."""
     cap = degree_cap()
     if degree > cap:
-        raise ResourceLimitError(f"product degree {degree} exceeds cap {cap}")
+        raise ResourceLimitError(f"{what} degree {degree} exceeds cap {cap}")
 
 
 def _substitute(
@@ -515,13 +521,35 @@ class PolyIdeal:
         return PolyIdeal(target, gens)
 
     def translate(self, point: Mapping[str, Scalar]) -> "PolyIdeal":
-        """Shift coordinates so that `point` becomes the origin."""
+        """Shift coordinates so that `point` becomes the origin: the Taylor
+        shift v -> v + a, expanding each v^k on exponent vectors into
+        sum_j C(k, j) a^(k-j) v^j, one term map per generator.  The degree
+        cap sees each term, as substituting v + a would."""
         vs = self.variables
-        images = {
-            v: Polynomial.variable(v, vs) + Polynomial.constant(val, vs)
-            for v, val in point.items() if val
-        }
-        return self.substitute(images, vs) if images else self
+        shifts = [(vs.index(v), Fraction(a)) for v, a in point.items() if a]
+        if not shifts:
+            return self
+        rows, gens = {}, []  # rows[i, k]: the (j, C(k, j) a^(k-j)) for v_i^k
+        for g in self.generators:
+            out: dict[Exponent, Fraction] = {}
+            for exp, c in g.terms.items():
+                check_degree(sum(exp))
+                image = [(exp, c)]
+                for i, a in shifts:
+                    k = exp[i]
+                    if not k:
+                        continue
+                    if (i, k) not in rows:
+                        rows[i, k] = [(j, math.comb(k, j) * a ** (k - j)) for j in range(k + 1)]
+                    image = [
+                        (e[:i] + (j,) + e[i + 1 :], t * b)
+                        for e, t in image
+                        for j, b in rows[i, k]
+                    ]
+                for e, t in image:
+                    out[e] = out.get(e, 0) + t
+            gens.append(Polynomial(vs, out))
+        return PolyIdeal(vs, gens)
 
     def extend_ambient(self, variables: Iterable[str]) -> "PolyIdeal":
         return self.substitute({}, variables)

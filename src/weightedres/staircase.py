@@ -23,7 +23,7 @@ def _grid_data(d: MultiOrder):
     if len(d) != 2:
         raise DomainError("staircase diagrams need exactly two entries")
     for e in d.entries:
-        check_degree(math.ceil(e))
+        check_degree(math.ceil(e), "staircase entry")
     lattice = LatticeIdeal(d)
     gens = set(lattice.minimal_generators())
     rows = math.ceil(d.entries[0]) + 2

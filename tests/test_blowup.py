@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -615,6 +616,51 @@ def test_rational_root_search_refuses_huge_coefficients():
     ]
     with pytest.raises(ResourceLimitError):
         _rational_roots([F(-(ROOT_SEARCH_BOUND + 1)), F(0), F(0), F(1)])
+
+
+def test_root_search_agrees_with_a_fraction_horner_reference():
+    # end coefficients with many divisors (360, 720, ...), so many candidate
+    # pairs a/b share a factor; half the polynomials get rational linear
+    # factors and some a power of u, so roots are found, 0 among them
+    from weightedres.blowup import _rational_roots
+
+    def divisors(n):
+        return [d for d in range(1, n + 1) if n % d == 0]
+
+    def reference(p):
+        low = next(k for k, c in enumerate(p) if c)
+        ends = [abs(c * math.lcm(*(c.denominator for c in p))) for c in (p[low], p[-1])]
+        candidates = {
+            F(sign * a, b)
+            for a in divisors(int(ends[0]))
+            for b in divisors(int(ends[1]))
+            for sign in (1, -1)
+        }
+        roots = {F(0)} if low else set()
+        for r in candidates:
+            value = F(0)
+            for c in reversed(p):
+                value = value * r + c
+            if value == 0:
+                roots.add(r)
+        return sorted(roots)
+
+    rng = random.Random(23)
+    found = 0
+    for _ in range(40):
+        ends = (rng.choice((360, 720, 240, 120)), rng.choice((360, 720, 60, 12)))
+        middle = [rng.randint(-9, 9) for _ in range(rng.randint(0, 3))]
+        p = [F(rng.choice((1, -1)) * ends[0]), *map(F, middle), F(ends[1])]
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 2)):
+                a, b = rng.choice((1, 2, 3, 4, 5, 6)), rng.choice((1, 2, 3, 4))
+                p = [F(0), *p]  # (b*u - a) * p, with a shared factor or not
+                p = [b * p[k] - a * (p[k + 1] if k + 1 < len(p) else 0) for k in range(len(p))]
+            p = [F(0)] * rng.randint(0, 1) + [c * F(rng.randint(1, 3), 7) for c in p]
+        roots = _rational_roots(p)
+        assert roots == reference(p), p
+        found += len(roots)
+    assert found > 10
 
 
 def test_root_search_agrees_with_sympy():

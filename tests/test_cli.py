@@ -204,11 +204,16 @@ def test_degree_cap_of_a_call_is_gone_when_it_returns(capsys):
 )
 def test_rees_and_staircase_sizes_meet_the_degree_cap(capsys, argv, cap):
     # the largest Rees degree listed and each staircase entry are degrees the
-    # output needs, so the cap refuses them before anything is built
+    # output needs, so the cap refuses them before anything is built, naming
+    # the refused degree (the root order, or the first entry), not a product
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.err == ""
-    assert json.loads(captured.out)["error"]["code"] == "resource-cap"
+    if argv[0] == "rees":
+        message = f"Rees degree {argv[3]} exceeds cap 64"
+    else:
+        message = f"staircase entry degree {argv[1][1:].split(',')[0]} exceeds cap 64"
+    assert json.loads(captured.out)["error"] == {"code": "resource-cap", "message": message}
     if cap is not None:
         code, out = run(capsys, "--degree-cap", cap, *argv)
         assert code == 0 and out

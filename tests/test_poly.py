@@ -293,6 +293,62 @@ def test_substitution_errors_are_unchanged():
     assert P("x").substitute({"x": P("y"), "w": P("w", ("w",))}) == P("y")
 
 
+# -- translation ---------------------------------------------------------------
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(xyz_polys, min_size=1, max_size=3),
+    st.dictionaries(st.sampled_from(XYZ), rationals, min_size=1, max_size=3),
+    st.integers(1, 12),
+)
+@example([P("x^2 - 2*x + 1", XYZ), P("y*z - z", XYZ)], {"x": 1, "y": 1}, 12)
+@example([P("x^3*y^2 - 3*x", XYZ)], {"x": Fraction(-1, 2), "y": 0}, 4)
+def test_translate_is_the_substitution_of_shifted_variables(gens, point, cap):
+    # the first example cancels to x^2 and y*z: terms meet and drop to zero
+    I = PolyIdeal(XYZ, gens)
+    images = {
+        v: Polynomial.variable(v, XYZ) + Polynomial.constant(a, XYZ)
+        for v, a in point.items()
+        if a
+    }
+    if not images:
+        assert I.translate(point) is I  # nothing moves, so nothing is capped
+        return
+    assert I.translate(point).generators == I.substitute(images).generators
+    got = capped(lambda: I.translate(point), cap)
+    expected = capped(lambda: I.substitute(images), cap)
+    if expected is ResourceLimitError:
+        assert got is ResourceLimitError
+    else:
+        assert got.generators == expected.generators
+
+
+def test_translate_to_the_origin_and_by_a_foreign_name():
+    I = PolyIdeal(XYZ, [P("x^2 + y", XYZ)])
+    assert I.translate({}) is I
+    assert I.translate({"x": 0, "y": Fraction(0)}) is I
+    with pytest.raises(ValueError):
+        I.translate({"w": 1})
+
+
+def test_translate_multiplies_no_polynomials(monkeypatch):
+    I = PolyIdeal(XYZ, [P("x^3*y^2 + z", XYZ), P("x*y*z - 2", XYZ)])
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    I.translate({"x": Fraction(1, 3), "y": -2})
+    assert calls == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_polys(), small_polys())
 def test_order_additivity(f, g):
@@ -361,6 +417,37 @@ def test_divmod_is_graded_lex_division_with_a_unique_remainder(f, g, h):
     assert (f.divide_exact(g) is None) == (not r.is_zero())
     # the remainder is the normal form modulo (g): it ignores multiples of g
     assert (f + h * g).divmod(g)[1] == r
+
+
+def reference_divmod(f, divisor):
+    """The division `Polynomial.divmod` replaced: every step subtracts a whole
+    product `divisor * monomial` from what is left, as polynomials."""
+    vs = f.variables
+    lead_exp, lead_c = divisor.leading()
+    q, r = {}, {}
+    rest = f
+    while not rest.is_zero():
+        exp, c = rest.leading()
+        diff = tuple(a - b for a, b in zip(exp, lead_exp))
+        if any(d < 0 for d in diff):
+            r[exp] = c
+            rest = rest - Polynomial.monomial(exp, vs, c)
+        else:
+            q[diff] = c / lead_c
+            rest = rest - divisor * Polynomial.monomial(diff, vs, c / lead_c)
+    return Polynomial(vs, q), Polynomial(vs, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_polys(), small_polys(), small_polys(), st.integers(1, 8))
+@example(P("x^3 + y"), P("2*x - 3*y^2"), P("0"), 3)  # inexact, non-monic
+@example(P("0"), P("3*x*y + 1/2*x"), P("x^2 - y"), 4)  # exact, non-monic
+def test_divmod_matches_the_polynomial_product_loop(f, g, h, cap):
+    assume(not g.is_zero())
+    f = f + h * g
+    assert f.divmod(g) == reference_divmod(f, g)
+    # a cancelled term above the cap refuses, as the product would
+    assert capped(lambda: f.divmod(g), cap) == capped(lambda: reference_divmod(f, g), cap)
 
 
 def test_parse_round_trip():
