@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import shlex
 import sys
@@ -258,5 +259,18 @@ def main(argv: list[str] | None = None) -> int:
     return _run(_build_parser(_Parser), argv, errors.degree_cap_from_env)
 
 
+def console() -> int:
+    """`main` on the console: a reader that closes the pipe early ends the run
+    with exit code 1 and no traceback, and stdout then points at devnull so
+    that the flush at exit cannot fail again."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(console())

@@ -424,6 +424,29 @@ def power_product(
     return out
 
 
+def echelon(rows: Iterable[Iterable[Scalar]]) -> dict[int, list[Fraction]]:
+    """Reduced row echelon form over Q of equal-length rows, taken in order:
+    pivot column -> basis row, 1 at its pivot and 0 at every other pivot.
+    The basis spans the rows, so its size is the rank, and an element of the
+    span leads at column j exactly when j is a pivot."""
+    basis: dict[int, list[Fraction]] = {}
+    for row in rows:
+        row = [Fraction(a) for a in row]
+        for p, b in basis.items():
+            if c := row[p]:
+                row = [a - c * x for a, x in zip(row, b)]
+        pivot = next((j for j, a in enumerate(row) if a), None)
+        if pivot is None:
+            continue
+        inv = 1 / row[pivot]
+        row = [a * inv for a in row]
+        for p, b in basis.items():
+            if c := b[pivot]:
+                basis[p] = [a - c * x for a, x in zip(b, row)]
+        basis[pivot] = row
+    return basis
+
+
 def _monic(g: Polynomial) -> Polynomial:
     """g scaled so that its graded-lex leading coefficient is 1."""
     return g.scale(Fraction(1) / g.leading()[1])

@@ -43,7 +43,7 @@ from .errors import (
     UnrepresentableError,
 )
 from .lattice import LatticeIdeal, MultiOrder, grading, is_in_mord, mord_compare
-from .poly import Exponent, Polynomial, PolyIdeal, power_product
+from .poly import Exponent, Polynomial, PolyIdeal, echelon, power_product
 
 
 @dataclass(frozen=True)
@@ -141,29 +141,7 @@ def constant_tube(
     return TubeAlgebra(tuple(base_vars), names, relations, width)
 
 
-# -- exact linear algebra helpers ---------------------------------------------
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Rank by Gauss-Jordan elimination."""
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][c] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][c]
-        m[rank] = [a / pv for a in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c] != 0:
-                factor = m[r][c]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+# -- exact linear algebra helpers (row elimination is `poly.echelon`) --------
 
 
 def _poly_det(matrix: list[list[Polynomial]]) -> Polynomial:
@@ -266,21 +244,15 @@ def verify_split_tube(
     basis = A.basis()
     if len(complement) != len(basis):
         return False
-    basis_pos = {b: k for k, b in enumerate(basis)}
     base_idx = [amb.index(v) for v in A.base_vars]
-    rows: list[list[Fraction]] = []
+    rows = []
     for a in sorted(complement, key=lambda t: (sum(t), tuple(-e for e in t))):
         mono = A.reduce(power_product(cands, a, amb))
-        row = [Fraction(0)] * len(basis)
-        for exp, c in mono.terms.items():
-            if any(exp[i] != 0 for i in base_idx):
-                raise UnrepresentableError(
-                    "base-coefficient matrices are outside the checked class"
-                )
-            key = tuple(exp[i] for i in idx)
-            row[basis_pos[key]] += c
-        rows.append(row)
-    return _rank(rows) == len(basis)
+        if any(exp[i] for exp in mono.terms for i in base_idx):
+            raise UnrepresentableError("base-coefficient matrices are outside the checked class")
+        coeffs = {tuple(exp[i] for i in idx): c for exp, c in mono.terms.items()}
+        rows.append([coeffs.get(b, 0) for b in basis])
+    return len(echelon(rows)) == len(basis)
 
 
 def width(A: TubeAlgebra) -> MultiOrder:
@@ -393,14 +365,7 @@ class TightVerdict:
 
 
 def _linear_rank(gens: Iterable[Polynomial], ambient: tuple[str, ...]) -> int:
-    rows = []
-    for g in gens:
-        lin = g.linear_part()
-        if lin:
-            rows.append([lin.get(v, Fraction(0)) for v in ambient])
-    if not rows:
-        return 0
-    return _rank(rows)
+    return len(echelon([g.linear_part().get(v, 0) for v in ambient] for g in gens))
 
 
 def tight_presentation_check(

@@ -121,6 +121,45 @@ def test_domain_error_exit_code(capsys):
     assert json.loads(out)["error"]["code"] == "inadmissible"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mord", "0"], "the zero ideal has no multiorder"),
+        (["principalize", "0"], "cannot principalize the zero ideal"),
+        (["tschirnhaus", "0", "[x^2]"], "the zero ideal has no canonical center"),
+        (["tschirnhaus", "0", "[x^2]", "--make"], "the zero ideal has no canonical center"),
+    ],
+)
+def test_the_zero_ideal_is_a_domain_error(capsys, argv, message):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"] == {"code": "domain-error", "message": message}
+
+
+@pytest.mark.parametrize("make", [(), ("--make",)])
+@pytest.mark.parametrize(
+    "ideal, center, witnesses",
+    [
+        ("(1+t)*x^2, y^3", "[(x+0*t)^2, y^3]", ["x^2 + x^2*t", "y^3"]),
+        ("3*y + 3*x^2*y", "[(y+0*x)]", ["y + y*x^2"]),
+    ],
+)
+def test_a_unit_coefficient_certifies(capsys, ideal, center, witnesses, make):
+    code, out = run(capsys, "tschirnhaus", ideal, center, *make)
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert [w["witness"] for w in cert["witnesses"]] == witnesses
+    assert cert["substitutions"] == []
+
+
+def test_make_names_a_coefficient_that_is_a_unit_but_not_constant(capsys):
+    code, out = run(capsys, "tschirnhaus", "(x^2 - 2)*y^2*t^5", "[(t+0*x)^7, y^7]", "--make")
+    assert code == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "fails-to-certify"
+    assert "needs a constant coefficient" in error["message"]
+
+
 def test_parse_error_exit_code(capsys):
     code, out = run(capsys, "mord", "x^5 +++ y")
     assert code == 2
@@ -336,6 +375,25 @@ def test_shipped_entry_point():
     done = cli("-h")
     assert done.returncode == 0
     assert done.stdout.startswith("usage:")
+
+
+def test_a_closed_pipe_ends_the_run_without_a_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child writes
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "weightedres.cli", "principalize", "x^5 + x^3*y^3 + y^7"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr
 
 
 # -- round trips -------------------------------------------------------------------

@@ -13,6 +13,7 @@ from weightedres import (
     parse_polynomial,
 )
 from weightedres.errors import using_degree_cap
+from weightedres.poly import echelon
 
 VARS = ("x", "y")
 
@@ -454,3 +455,32 @@ def test_parse_round_trip():
     for text in ("x^5 + x^3*y^3 + y^7", "1/2*x^2 - 3*y", "x*y - 1"):
         f = P(text)
         assert parse_polynomial(str(f), VARS) == f
+
+
+# -- row echelon kernel ---------------------------------------------------------
+
+entries = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=4)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda cols: st.lists(st.lists(entries, min_size=cols, max_size=cols), max_size=6)
+    )
+)
+@example([[1, 2], [2, 4], [0, 0]])  # a dependent row and a zero row
+@example([[0, 1, 1], [1, 1, 0], [1, 0, 0]])  # a later row pivots left of an earlier one
+def test_echelon_is_a_reduced_basis_of_the_row_span(rows):
+    sympy = pytest.importorskip("sympy")
+    basis = echelon(rows)
+    assert len(basis) == (sympy.Matrix(rows).rank() if rows else 0)
+    for p, b in basis.items():
+        assert not any(b[:p]) and b[p] == 1
+        assert all(b[q] == 0 for q in basis if q != p)
+    # reduced: a row of the span is the combination of the basis rows that
+    # its own entries at the pivots give
+    for row in rows:
+        combination = [sum(row[p] * b[j] for p, b in basis.items()) for j in range(len(row))]
+        assert combination == list(row)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from weightedres import (
     parse_ideal,
     verify_tschirnhaus,
 )
-from weightedres.errors import CertificateError
+from weightedres.centers import leading_term_decomposition
+from weightedres.errors import CertificateError, DomainError, WeightedResError
 from weightedres.textio import parse_center
 
 F = Fraction
@@ -129,3 +131,116 @@ def test_make_is_idempotent():
 def test_inadmissible_pair_is_an_error():
     with pytest.raises(AdmissibilityError):
         verify_tschirnhaus(parse_ideal("y", ("x", "y")), parse_center("[y^2]", ("x", "y")))
+
+
+# -- unit coefficients and witnesses by elimination --------------------------------
+
+
+def _pair(ideal: str, center: str):
+    J = parse_center(center)
+    return parse_ideal(ideal, J.ambient), J
+
+
+@pytest.mark.parametrize("build", [verify_tschirnhaus, make_tschirnhaus])
+@pytest.mark.parametrize(
+    "ideal, center, witnesses",
+    [
+        # b_a = 1 + t, a unit of the local ring that is not constant
+        ("(1+t)*x^2, y^3", "[(x+0*t)^2, y^3]", ["x^2 + x^2*t", "y^3"]),
+        # b_a = 3 + 3*x^2, certified after scaling to b_a(0) = 1
+        ("3*y + 3*x^2*y", "[(y+0*x)]", ["y + y*x^2"]),
+    ],
+)
+def test_a_unit_coefficient_certifies(build, ideal, center, witnesses):
+    I, J = _pair(ideal, center)
+    assert multiorder(I).center == J
+    cert = build(I, J)
+    assert [str(w.witness) for w in cert.witnesses] == witnesses
+    assert cert.presentation == J and cert.substitutions == ()
+
+
+def test_make_names_a_coefficient_that_is_a_unit_but_not_constant():
+    # the canonical center, in either order of its tie block, whose only
+    # material has the coefficient x^2 - 2: the shear and the tail clearing
+    # need a constant one
+    I, J = _pair("(x^2 - 2)*y^2*t^5", "[(t+0*x)^7, y^7]")
+    for center in (J, multiorder(I).center):
+        with pytest.raises(CertificateError, match="needs a constant coefficient"):
+            make_tschirnhaus(I, center)
+
+
+@pytest.mark.parametrize("build", [verify_tschirnhaus, make_tschirnhaus])
+def test_the_zero_ideal_has_no_certificate(build):
+    I, J = _pair("0", "[x^2]")
+    with pytest.raises(DomainError, match="the zero ideal has no canonical center"):
+        build(I, J)
+
+
+def _reference_witness(I, center, i):
+    """The witness search that exact elimination replaced, kept as a
+    reference: the generators, then a*g_k + b*g_l with 1 <= a <= 5 and
+    0 < |b| <= 5, each asked for a constant coefficient b_a.  Returns the
+    position of the first candidate that witnesses level i, or None."""
+    gens = I.generators
+    pairs = [
+        gens[k].scale(a) + gens[l].scale(b)
+        for k in range(len(gens))
+        for l in range(k + 1, len(gens))
+        for a in range(1, 6)
+        for b in range(-5, 6)
+        if b
+    ]
+    for position, f in enumerate([*gens, *pairs]):
+        if f.is_zero():
+            continue
+        decomp = leading_term_decomposition(f, center)
+        for exp, coeff in decomp.items():
+            if exp[i - 1] == 0 or any(exp[i:]) or not coeff.is_constant():
+                continue
+            prefix = exp[: i - 1] + (exp[i - 1] - 1,)
+            if coeff.constant_term() and not any(o[:i] == prefix for o in decomp):
+                return position
+    return None
+
+
+def _mixed_ideal(rng: random.Random) -> str:
+    """Two generators, each a random combination of the same two random
+    polynomials, so that a witness often needs both generators."""
+    names = rng.choice(["xy", "xyz", "xyt"])
+    parts = []
+    for _ in range(2):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            exps = [rng.randint(0, 4) for _ in names]
+            if not any(exps):
+                exps[0] = 1
+            mono = "*".join(f"{v}^{e}" for v, e in zip(names, exps))
+            terms.append(f"{rng.choice('+-')} {rng.randint(1, 3)}*{mono}")
+        parts.append("(" + " ".join(terms)[2:] + ")")
+    return ", ".join(
+        " + ".join(f"{rng.randint(1, 3)}*{p}" for p in parts) for _ in range(2)
+    )
+
+
+def test_elimination_finds_every_witness_the_pair_search_found():
+    rng = random.Random(1)
+    pairs_needed = 0
+    for _ in range(60):
+        I = parse_ideal(_mixed_ideal(rng))
+        try:
+            J = multiorder(I).center
+        except WeightedResError:  # a contact that cannot be aligned, say
+            continue
+        n = len(J.coords)
+        found = [_reference_witness(I, J, i) for i in range(1, n + 1)]
+        cert = verify_tschirnhaus(I, J)
+        if None not in found:
+            assert cert is not None, str(I)
+            pairs_needed += max(found) >= len(I.generators)
+        for w in cert.witnesses if cert else ():
+            # (i1) with b_a(0) = 1 and (i2), read off a fresh decomposition
+            i, c = w.level, w.c_vector
+            decomp = leading_term_decomposition(w.witness, J)
+            assert c[-1] != 0 and decomp[c + (0,) * (n - i)].constant_term() == 1
+            assert not any(o[:i] == c[:-1] + (c[-1] - 1,) for o in decomp)
+    assert pairs_needed  # the corpus exercises the pair search
