@@ -77,7 +77,6 @@ from .tubes import (
     rees_restriction_check,
     tight_presentation_check,
     tube_center_correspondence,
-    tubular_blowup_check,
     tubular_rees_piece,
     verify_split_tube,
     width,

@@ -48,9 +48,6 @@ from .poly import Polynomial, PolyIdeal, check_degree, fresh_name
 # largest integral leading or trailing coefficient whose divisors the
 # rational-root search enumerates (about 10^6 trial divisions each)
 ROOT_SEARCH_BOUND = 10**12
-# most candidate values of one variable the fiber-point search combines; with
-# more, only the chart origin is tracked
-FIBER_CANDIDATE_BOUND = 8
 
 
 def minimal_root(d: MultiOrder) -> int:
@@ -442,14 +439,11 @@ def _eliminate_variable(fiber: list[Polynomial], u: str, v: str) -> list[Fractio
     if len(pair) < 2:
         return []
     f, g = sorted(pair[:4], key=lambda p: p.degree_in(v))[:2]
-    try:
-        while g.degree_in(v) > 0:
-            r = _pseudo_remainder(f, g, v)
-            if r.is_zero():
-                return []  # positive-dimensional overlap: give up here
-            f, g = g, r
-    except ResourceLimitError:
-        return []
+    while g.degree_in(v) > 0:
+        r = _pseudo_remainder(f, g, v)
+        if r.is_zero():
+            return []  # positive-dimensional overlap: give up here
+        f, g = g, r
     return _rational_roots(_axis_profile(g, u))
 
 
@@ -459,9 +453,10 @@ def _fiber_points(
     """Rational points on the exceptional divisor where the transform
     vanishes: the chart origin (), axis-restricted rational roots, and for
     two-variable fibers the roots of pairwise eliminants, each point as its
-    sorted nonzero (variable, value) pairs.  With more than
-    FIBER_CANDIDATE_BOUND candidate values for one variable only the origin
-    is returned.  Returns (points, irrational_flag)."""
+    sorted nonzero (variable, value) pairs.  Every combination of candidate
+    values is tested: each candidate set holds rational roots of a fiber
+    polynomial, so the degree cap bounds it.  Returns (points,
+    irrational_flag)."""
     s = chart.exceptional
     fiber = [g.restrict(s) for g in transform.generators]
     fiber = [g for g in fiber if not g.is_zero()]
@@ -481,11 +476,10 @@ def _fiber_points(
         candidates[u].update(_eliminate_variable(fiber, u, v))
         candidates[v].update(_eliminate_variable(fiber, v, u))
     points = [()]
-    if all(len(candidates[v]) <= FIBER_CANDIDATE_BOUND for v in active):
-        for combo in itertools.product(*(sorted(candidates[v]) for v in active)):
-            point = {v: r for v, r in zip(active, combo) if r != 0}
-            if point and all(h.evaluate(point) == 0 for h in fiber):
-                points.append(tuple(sorted(point.items())))
+    for combo in itertools.product(*(sorted(candidates[v]) for v in active)):
+        point = {v: r for v, r in zip(active, combo) if r != 0}
+        if point and all(h.evaluate(point) == 0 for h in fiber):
+            points.append(tuple(sorted(point.items())))
     return points, irrational
 
 
@@ -554,6 +548,7 @@ def _run_driver(
                 trace.status = DriverStatus.RESOURCE_CAPPED
                 return trace
 
+            irrational_hit = False
             if regular is None and (
                 divisor is not None
                 or (len(res.center.coords) == 1 and res.center.exponents[0] == 1)
@@ -561,93 +556,74 @@ def _run_driver(
                 # a one-coordinate weight-one center: exact division
                 if divisor is None:
                     divisor = res.center.coordinate_polynomials()[0]
-                gens = []
-                for g in ideal.generators:
-                    q = g.divide_exact(divisor)
-                    if q is None:
-                        raise AdmissibilityError(
-                            f"generator {g} not divisible by the divisor {divisor}"
-                        )
-                    gens.append(q)
+                gens = [g.divide_exact(divisor) for g in ideal.generators]
+                if any(q is None for q in gens):
+                    raise AdmissibilityError(f"{ideal} not divisible by the divisor {divisor}")
                 new_ideal = PolyIdeal(ideal.variables, gens)
-                record = ChartRecord(
-                    index=0,
-                    coordinate=str(divisor),
-                    weights=(1,),
-                    exceptional=str(divisor),
-                    substitution=((str(divisor), "divided out"),),
-                    transform=new_ideal,
-                    tracked=(track(new_ideal, label + "/div"),),
-                )
-                trace.steps.append(
-                    BlowupStep(
-                        label=label,
-                        ideal=ideal,
-                        mord=mord,
-                        center=res.center if res else None,
-                        N=1,
-                        charts=(record,),
-                        note="divisor center: blowup is an isomorphism, ideal divided",
+                N, note = 1, "divisor center: blowup is an isomorphism, ideal divided"
+                records = [
+                    ChartRecord(
+                        index=0,
+                        coordinate=str(divisor),
+                        weights=(1,),
+                        exceptional=str(divisor),
+                        substitution=((str(divisor), "divided out"),),
+                        transform=new_ideal,
+                        tracked=(track(new_ideal, label + "/div"),),
                     )
-                )
-                continue
-            if res is None:
-                raise ContactAlignmentError(
-                    "embedded driver hit a non-alignable divisor point"
-                )
-
-            N = minimal_root(res.mord)
-            charts = build_charts(res.center, N)
-            records = []
-            irrational_hit = False
-            chart_trivial = []
-            for chart in charts:
-                if regular is None:
-                    T = controlled_transform(ideal, chart)
-                else:
-                    T = strict_transform(ideal, chart)
-                chart_trivial.append(
-                    any(g.is_constant() and not g.is_zero() for g in T.generators)
-                )
-                points, irrational = _fiber_points(T, chart)
-                irrational_hit = irrational_hit or irrational
-                tracked = []
-                for coords in points:
-                    where = ",".join(f"{v}={r}" for v, r in coords)
-                    tracked.append(
-                        track(
-                            T.translate(dict(coords)),
-                            f"{label}/c{chart.chart_index}@{where}",
-                            coords,
+                ]
+            else:
+                if res is None:
+                    raise ContactAlignmentError(
+                        "embedded driver hit a non-alignable divisor point"
+                    )
+                N, note = minimal_root(res.mord), ""
+                records = []
+                transform = controlled_transform if regular is None else strict_transform
+                for chart in build_charts(res.center, N):
+                    T = transform(ideal, chart)
+                    points, irrational = _fiber_points(T, chart)
+                    irrational_hit = irrational_hit or irrational
+                    tracked = []
+                    for coords in points:
+                        where = ",".join(f"{v}={r}" for v, r in coords)
+                        tracked.append(
+                            track(
+                                T.translate(dict(coords)),
+                                f"{label}/c{chart.chart_index}@{where}",
+                                coords,
+                            )
+                        )
+                    records.append(
+                        ChartRecord(
+                            index=chart.chart_index,
+                            coordinate=res.center.coords[chart.chart_index],
+                            weights=chart.weights,
+                            exceptional=chart.exceptional,
+                            substitution=tuple(
+                                (v, str(p)) for v, p in sorted(chart.substitution.items())
+                            ),
+                            transform=T,
+                            tracked=tuple(tracked),
                         )
                     )
-                records.append(
-                    ChartRecord(
-                        index=chart.chart_index,
-                        coordinate=res.center.coords[chart.chart_index],
-                        weights=chart.weights,
-                        exceptional=chart.exceptional,
-                        substitution=tuple(
-                            (v, str(p)) for v, p in sorted(chart.substitution.items())
-                        ),
-                        transform=T,
-                        tracked=tuple(tracked),
-                    )
-                )
-            note = ""
-            if regular is not None and chart_trivial and all(chart_trivial):
-                # every chart's strict transform is globally trivial: the center
-                # swallowed the subscheme and the next transform would not be
-                # birational, so the run stops without modifying it
-                note = "center contains a generic point; subscheme left unmodified"
-                trace.status = DriverStatus.STOPPED_GENERIC_POINT
-                queue.clear()
+                if regular is not None and all(
+                    any(g.is_constant() and not g.is_zero() for g in r.transform.generators)
+                    for r in records
+                ):
+                    # every chart's strict transform is globally trivial: the
+                    # center swallowed the subscheme and the next transform
+                    # would not be birational, so the run stops without
+                    # modifying it
+                    note = "center contains a generic point; subscheme left unmodified"
+                    trace.status = DriverStatus.STOPPED_GENERIC_POINT
+                    queue.clear()
             trace.steps.append(
                 BlowupStep(
                     label=label,
                     ideal=ideal,
-                    mord=res.mord,
-                    center=res.center,
+                    mord=mord,
+                    center=res.center if res else None,
                     N=N,
                     charts=tuple(records),
                     note=note,

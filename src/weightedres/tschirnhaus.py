@@ -119,6 +119,13 @@ def verify_tschirnhaus(
     return _certificate(I, center, _flat_decompositions(I, center))
 
 
+def _non_constant_units(i: int) -> CertificateError:
+    return CertificateError(
+        f"the witness material at level {i} has only non-constant unit "
+        "coefficients, and the constructive path needs a constant coefficient"
+    )
+
+
 def _claim(
     I: PolyIdeal, center: CenterPresentation, flats: list[dict], i: int
 ) -> tuple[Exponent, Polynomial]:
@@ -141,10 +148,7 @@ def _claim(
             return a, f
         unit = unit or any((a, origin) in flat for flat in flats)
     if unit:
-        raise CertificateError(
-            f"the witness material at level {i} has only non-constant unit "
-            "coefficients, and the constructive path needs a constant coefficient"
-        )
+        raise _non_constant_units(i)
     raise CertificateError(f"no witness material at level {i}: the center is not canonical")
 
 
@@ -175,6 +179,7 @@ def make_tschirnhaus(I: PolyIdeal, center: CenterPresentation) -> TschirnhausCer
             target = tuple(
                 exp[j] if j < i - 1 else (e if j == i - 1 else 0) for j in range(n)
             )
+            unit = False  # some shift gave a unit target coefficient, not constant
             for b in SHEAR_SEQUENCE:
                 tail = Polynomial.variable(current.coords[i - 1], current.ambient).scale(-b)
                 change = current.change
@@ -182,9 +187,13 @@ def make_tschirnhaus(I: PolyIdeal, center: CenterPresentation) -> TschirnhausCer
                     change = change.then(AlignStep(current.coords[j], Fraction(1), tail))
                 trial = CenterPresentation(current.ambient, change, current.coords, d)
                 coeff = leading_term_decomposition(f, trial).get(target)
-                if coeff is not None and coeff.is_constant() and coeff.constant_term() != 0:
-                    break
+                if coeff is not None and coeff.constant_term() != 0:
+                    if coeff.is_constant():
+                        break
+                    unit = True
             else:
+                if unit:
+                    raise _non_constant_units(i)
                 raise CertificateError(
                     f"no usable shear found at level {i} within the search bound"
                 )

@@ -31,11 +31,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .blowup import build_charts, rees_generators, strict_transform
-from .centers import CenterPresentation, CoordinateChange, nu_valuation
+from .blowup import rees_generators
+from .centers import CenterPresentation, CoordinateChange
 from .errors import (
     DomainError,
     NonIntegralCenterError,
@@ -186,26 +187,16 @@ def _candidate_param_polys(
     return out
 
 
+def _base_part(A: TubeAlgebra, f: Polynomial) -> Polynomial:
+    """f with every parameter restricted to 0."""
+    return reduce(Polynomial.restrict, A.params, f)
+
+
 def _linear_param_matrix(A: TubeAlgebra, cands: list[Polynomial]) -> list[list[Polynomial]]:
-    """Conormal matrix: coefficient of each parameter in each candidate's
-    parameter-linear part (an entry may involve base variables)."""
-    amb = A.ambient()
-    base_idx = [amb.index(v) for v in A.base_vars]
-    param_idx = [amb.index(p) for p in A.params]
-    matrix = []
-    for cand in cands:
-        row = []
-        for j in param_idx:
-            terms = {}
-            for exp, c in cand.terms.items():
-                if exp[j] == 1 and all(exp[k] == 0 for k in param_idx if k != j):
-                    base_exp = tuple(
-                        e if i in base_idx else 0 for i, e in enumerate(exp)
-                    )
-                    terms[base_exp] = c
-            row.append(Polynomial(amb, terms))
-        matrix.append(row)
-    return matrix
+    """Conormal matrix: the base part of d cand / d t for each parameter t,
+    the coefficient of t in the candidate's parameter-linear part (an entry
+    may involve base variables)."""
+    return [[_base_part(A, cand.derivative(t)) for t in A.params] for cand in cands]
 
 
 def verify_split_tube(
@@ -223,11 +214,8 @@ def verify_split_tube(
 
     # (0): the candidates cut out the base: no pure-base terms, and the
     # parameter-linear parts form an invertible matrix over the base
-    idx = [amb.index(p) for p in A.params]
-    for cand in cands:
-        for exp in cand.terms:
-            if all(exp[k] == 0 for k in idx):
-                return False
+    if any(not _base_part(A, cand).is_zero() for cand in cands):
+        return False
     if not _invertible_over_base(_linear_param_matrix(A, cands)):
         return False
 
@@ -244,6 +232,7 @@ def verify_split_tube(
     basis = A.basis()
     if len(complement) != len(basis):
         return False
+    idx = [amb.index(p) for p in A.params]
     base_idx = [amb.index(v) for v in A.base_vars]
     rows = []
     for a in sorted(complement, key=lambda t: (sum(t), tuple(-e for e in t))):
@@ -401,7 +390,7 @@ def tight_presentation_check(
     )
 
 
-# -- tubular Rees algebra and blowup -------------------------------------------
+# -- tubular Rees algebra -------------------------------------------------------
 
 
 def tubular_rees_piece(A: TubeAlgebra, N: int, n: int) -> list[Exponent]:
@@ -460,30 +449,5 @@ def rees_restriction_check(
         except DomainError:
             return False  # the tube's width does not even admit this root order
         if left != images(param_polys, right_exponents):
-            return False
-    return True
-
-
-def tubular_blowup_check(
-    Z_ideal: PolyIdeal, center: CenterPresentation, N: int
-) -> bool:
-    """Chart equality of the tubular blowup against the strict transform.
-
-    Chart-wise, the blowup of the tubular Rees algebra divides each pulled
-    back generator g of Z by s^(N*nu(g)), the exceptional power predicted by
-    its valuation; the ambient strict transform divides by the maximal
-    power.  The chart map is monomial and injective on exponents, so
-    N*nu(g) is exactly the least s-power of the pulled-back g and the two
-    always coincide: for a center and a root order N it accepts, this
-    returns True whatever Z is, so it does not test whether the tube
-    controls Z.
-    """
-    charts = build_charts(center, N)
-    # N*nu(g) is an integer: build_charts refuses an N that L does not divide
-    shifts = [int(nu_valuation(g, center) * N) for g in Z_ideal.generators]
-    aligned = center._aligned(Z_ideal).generators
-    for chart in charts:
-        left = PolyIdeal(chart.ambient, map(chart._pull_aligned, aligned, shifts))
-        if left != strict_transform(Z_ideal, chart):
             return False
     return True

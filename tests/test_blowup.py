@@ -590,6 +590,40 @@ def test_bivariate_fiber_points_include_non_axis_zeros():
     assert not irrational
 
 
+
+def test_univariate_fiber_points_are_every_rational_root():
+    # a one-active-variable fiber, the product of k distinct rational linear
+    # factors: the chart origin and exactly the k nonzero roots, however many
+    from weightedres.blowup import _fiber_points
+
+    amb = ("s", "u")
+    chart_stub = type("Stub", (), {"exceptional": "s", "ambient": amb})()
+    s, u = (Polynomial.variable(v, amb) for v in amb)
+    values = sorted({F(a, b) for a in range(-6, 7) if a for b in (1, 2, 3)})
+    rng = random.Random(8)
+    for k in range(1, 13):
+        roots = rng.sample(values, k)
+        g = Polynomial.constant(rng.randint(1, 5), amb)
+        for r in roots:
+            g = g * (u - Polynomial.constant(r, amb))
+        points, irrational = _fiber_points(PolyIdeal(amb, [g + s * u]), chart_stub)
+        assert points[0] == () and len(points) == k + 1
+        assert set(points[1:]) == {(("u", r),) for r in roots}
+        assert not irrational
+
+
+def test_every_line_of_an_eight_line_product_is_visited():
+    # each chart's fiber has 8 nonzero rational roots; the driver tracks them
+    # all and goes on past the first step until every point is principalized
+    I = parse_ideal("*".join(f"(x-{k}*y)" for k in range(1, 9)))
+    trace = principalize(I, max_steps=40)
+    assert trace.status == "principalized" and trace.step_count() > 1
+    for chart in trace.steps[0].charts:
+        coords = [pt.coords for pt in chart.tracked]
+        assert coords[0] == () and len(coords) == 9
+        assert all(len(c) == 1 and c[0][1] != 0 for c in coords[1:])
+    assert invariant_drop_check(trace)
+
 def test_irrational_singular_fiber_point_needs_a_repeated_irrational_factor():
     from weightedres.blowup import _has_irrational_singular_fiber_point
 
@@ -711,8 +745,10 @@ def test_fiber_elimination_gives_up_under_a_small_degree_cap():
         parse_polynomial("x^2*y^3 + y - 1", amb),
         parse_polynomial("x^3*y^2 + x*y + 2", amb),
     ]
-    with using_degree_cap(6):  # the pseudo-remainder sequence needs degree 8
-        assert _eliminate_variable(fiber, "x", "y") == []
+    # the pseudo-remainder sequence needs degree 8: the cap hit propagates,
+    # so the driver ends the run resource-capped instead of dropping points
+    with using_degree_cap(6), pytest.raises(ResourceLimitError):
+        _eliminate_variable(fiber, "x", "y")
 
 
 def test_irrational_singular_point_is_a_typed_status():

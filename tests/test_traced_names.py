@@ -1,9 +1,11 @@
-"""The benchmark's tracer still finds every function it wraps, and the
-benchmark harness still starts on every workload.
+"""The benchmark's tracer still finds every function it wraps, the benchmark
+harness still starts on every workload, and its driver check knows every
+driver status.
 
 `perfbench/tracing.py` names the traced functions by module and attribute
-path; renaming or deleting one of them, or an error at package import, would
-otherwise show only as a failed benchmark run.
+path, and `perfbench/workloads.py` lists the driver statuses it accepts;
+renaming or deleting one of them, adding a status, or an error at package
+import would otherwise show only as a failed benchmark run.
 """
 
 from __future__ import annotations
@@ -15,19 +17,30 @@ import sys
 from pathlib import Path
 
 import weightedres.cli  # noqa: F401  (loads every module the tracer patches)
+from weightedres.blowup import DriverStatus
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
+def _perfbench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", TRACING.with_stem(name))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_the_tracer_installs_over_the_package():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    tracer = tracing.Tracer()
+    tracer = _perfbench_module("tracing").Tracer()
     try:
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+def test_the_driver_check_accepts_exactly_the_driver_statuses():
+    # resolve-drivers calls a status outside DONE + GIVE_UP a wrong answer
+    workloads = _perfbench_module("workloads")
+    assert sorted(workloads.DONE + workloads.GIVE_UP) == sorted(s.value for s in DriverStatus)
 
 
 HARNESS = r"""

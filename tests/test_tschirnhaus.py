@@ -160,13 +160,21 @@ def test_a_unit_coefficient_certifies(build, ideal, center, witnesses):
 
 
 def test_make_names_a_coefficient_that_is_a_unit_but_not_constant():
-    # the canonical center, in either order of its tie block, whose only
-    # material has the coefficient x^2 - 2: the shear and the tail clearing
-    # need a constant one
-    I, J = _pair("(x^2 - 2)*y^2*t^5", "[(t+0*x)^7, y^7]")
-    for center in (J, multiorder(I).center):
-        with pytest.raises(CertificateError, match="needs a constant coefficient"):
-            make_tschirnhaus(I, center)
+    # canonical centers, in either order of their tie block
+    for ideal, center in (
+        # the only material has the coefficient x^2 - 2: the shear and the
+        # tail clearing need a constant one
+        ("(x^2 - 2)*y^2*t^5", "[(t+0*x)^7, y^7]"),
+        # in the order [y^5, x^5] each block shift x -> x + b*y turns the
+        # claimed term into the coefficient b + b^3*z^3 on y^5, a unit that
+        # is never constant: the limit is the constant coefficient, not the
+        # shear search bound
+        ("x*y^4 + x^3*y^2*z^3", "[(y+0*z)^5, x^5]"),
+    ):
+        I, J = _pair(ideal, center)
+        for presentation in (J, multiorder(I).center):
+            with pytest.raises(CertificateError, match="needs a constant coefficient"):
+                make_tschirnhaus(I, presentation)
 
 
 @pytest.mark.parametrize("build", [verify_tschirnhaus, make_tschirnhaus])

@@ -25,7 +25,6 @@ from weightedres import (
     split_gt1,
     tight_presentation_check,
     tube_center_correspondence,
-    tubular_blowup_check,
     tubular_rees_piece,
     verify_split_tube,
     width,
@@ -355,22 +354,3 @@ def test_rees_restriction_negative_control():
     assert not rees_restriction_check(J, Z, 6, tube=bad)
     assert not rees_restriction_check(J, Z, 30, tube=bad)
 
-
-# -- tubular blowups ---------------------------------------------------------------
-
-
-def test_tubular_blowup_matches_the_strict_transform_on_the_cusp():
-    Z = parse_ideal("x^2 - y^3")
-    J = parse_center("[x^2, y^3]")
-    assert tubular_blowup_check(Z, J, 6)
-
-
-def test_tubular_blowup_on_the_whole_space():
-    assert tubular_blowup_check(PolyIdeal(("x", "y"), []), parse_center("[x^2, y^3]"), 6)
-
-
-def test_tubular_blowup_on_a_monomial_subscheme():
-    Z = parse_ideal("x^2*y")
-    res = multiorder(Z)
-    assert res.mord == MultiOrder((3, 3))
-    assert tubular_blowup_check(Z, res.center, 3)
