@@ -13,6 +13,7 @@ from .blowup import (
     PrincipalizationTrace,
     WeightedChart,
     build_charts,
+    chart_grading_ok,
     controlled_transform,
     embedded_resolve,
     invariant_drop_check,
@@ -20,6 +21,7 @@ from .blowup import (
     principalize,
     rees_generators,
     strict_transform,
+    transition_agrees,
 )
 from .centers import (
     CenterPresentation,

@@ -139,19 +139,6 @@ class CenterPresentation:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("CenterPresentation is immutable")
 
-    @classmethod
-    def on_variables(
-        cls,
-        ambient: Iterable[str],
-        coords: Iterable[str],
-        exponents: Iterable,
-        change: CoordinateChange | None = None,
-    ) -> "CenterPresentation":
-        amb = tuple(ambient)
-        if change is None:
-            change = CoordinateChange.identity(amb)
-        return cls(amb, change, coords, MultiOrder(exponents))
-
     # -- structure ----------------------------------------------------------
 
     def mord(self) -> MultiOrder:
@@ -276,14 +263,6 @@ class LeadingTerm:
     coords: tuple[str, ...]
     basis: tuple[Exponent, ...]
     rows: tuple[tuple[tuple[Exponent, object], ...], ...] = ()
-
-    def monomials_involved(self) -> set[Exponent]:
-        """Basis exponents hit by some nonzero coefficient of some row."""
-        hit: set[Exponent] = set()
-        for row in self.rows:
-            for exp, coeff in row:
-                hit.add(exp)
-        return hit
 
 
 def leading_term_basis(center: CenterPresentation) -> LeadingTerm:

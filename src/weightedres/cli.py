@@ -175,7 +175,13 @@ def _run_verb(args) -> str:
 
     if args.verb == "tschirnhaus":
         center = textio.parse_center(args.center)
-        ideal = textio.parse_ideal(args.ideal, center.ambient)
+        ideal = textio.parse_ideal(args.ideal)
+        # the ideal's variables that the center does not name join its ambient
+        free = tuple(v for v in ideal.variables if v not in center.ambient)
+        if free:
+            center = textio.parse_center(args.center, center.ambient + free)
+        if ideal.variables != center.ambient:
+            ideal = ideal.extend_ambient(center.ambient)
         if args.make:
             cert = tschirnhaus.make_tschirnhaus(ideal, center)
         else:

@@ -201,9 +201,6 @@ class LatticeIdeal:
             raise InvalidMultiOrderError("exponent arity mismatch")
         return sum(x * w for x, w in zip(a, self._w))
 
-    def value(self, a: Sequence[int]) -> Fraction:
-        return Fraction(self._scaled_value(a), self._L)
-
     def contains(self, a: Sequence[int]) -> bool:
         return self._scaled_value(a) >= self._L
 

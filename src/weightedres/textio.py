@@ -310,14 +310,6 @@ def parse_center(
     )
 
 
-def format_center(center: CenterPresentation) -> str:
-    s = center.s_count()
-    parts = str(center)[1:-1].split(", ")
-    if s == 0:
-        return str(center)
-    return "[" + ", ".join(parts[:s]) + " | " + ", ".join(parts[s:]) + "]"
-
-
 # -- JSON encoders -------------------------------------------------------------
 
 

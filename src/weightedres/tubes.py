@@ -43,7 +43,7 @@ from .errors import (
     NotATubeError,
     UnrepresentableError,
 )
-from .lattice import LatticeIdeal, MultiOrder, grading, is_in_mord, mord_compare
+from .lattice import LatticeIdeal, MultiOrder, grading, is_in_mord
 from .poly import Exponent, Polynomial, PolyIdeal, echelon, power_product
 
 
@@ -320,28 +320,6 @@ def center_from_tube(A: TubeAlgebra) -> CenterPresentation:
     )
 
 
-@dataclass(frozen=True)
-class TubeInvariant:
-    """Width plus a symbolic support descriptor, ordered lexicographically
-    with supports compared by inclusion."""
-
-    width: MultiOrder
-    support: frozenset[str]
-
-
-def tube_invariant_compare(a: TubeInvariant, b: TubeInvariant) -> int | None:
-    c = mord_compare(a.width, b.width)
-    if c != 0:
-        return c
-    if a.support == b.support:
-        return 0
-    if a.support < b.support:
-        return -1
-    if a.support > b.support:
-        return 1
-    return None  # incomparable supports
-
-
 # -- tight presentations --------------------------------------------------------
 
 
@@ -419,35 +397,32 @@ def _reduce_mod(f: Polynomial, Z: PolyIdeal) -> Polynomial:
 
 
 def rees_restriction_check(
-    center: CenterPresentation,
-    Z_ideal: PolyIdeal,
-    N: int,
-    tube: TubeAlgebra | None = None,
+    center: CenterPresentation, Z_ideal: PolyIdeal, N: int, tube: TubeAlgebra
 ) -> bool:
-    """Degree-by-degree: image of the center's Rees generators in the
-    quotient ring equals the tubular Rees generators of the tube.
+    """Degree-by-degree: the image of the center's Rees generators in the
+    quotient ring by Z equals the image of the tube's tubular Rees generators.
 
-    The tube defaults to the one corresponding to the center; passing a
-    different tube exercises the negative direction of the comparison.
+    The center must be tight, and on plain variables as tube parameters
+    are; any other center is refused.
     """
     if center.s_count() > 0:
         raise UnrepresentableError("restriction check expects a tight center")
-    A = tube if tube is not None else tube_center_correspondence(center)
+    if center.change.steps:
+        raise UnrepresentableError("restriction check expects a center on plain variables")
     ambient = center.ambient
-    coord_polys = center.coordinate_polynomials()
-    param_polys = [Polynomial.variable(v, ambient) for v in A.params]
 
-    def images(polys: list[Polynomial], exponents: list[Exponent]) -> set[Polynomial]:
+    def images(names: Sequence[str], exponents: list[Exponent]) -> set[Polynomial]:
+        polys = [Polynomial.variable(v, ambient) for v in names]
         reduced = (_reduce_mod(power_product(polys, a, ambient), Z_ideal) for a in exponents)
         return {r for r in reduced if not r.is_zero()}
 
     rees = rees_generators(center, N)
     for n in range(N + 1):
-        left = images(coord_polys, rees[n])
+        left = images(center.coords, rees[n])
         try:
-            right_exponents = tubular_rees_piece(A, N, n)
+            right_exponents = tubular_rees_piece(tube, N, n)
         except DomainError:
             return False  # the tube's width does not even admit this root order
-        if left != images(param_polys, right_exponents):
+        if left != images(tube.params, right_exponents):
             return False
     return True

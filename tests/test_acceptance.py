@@ -11,11 +11,13 @@ from fractions import Fraction
 
 from weightedres import (
     CenterPresentation,
+    CoordinateChange,
     LatticeIdeal,
     MultiOrder,
     Polynomial,
     PolyIdeal,
     build_charts,
+    chart_grading_ok,
     constant_tube,
     controlled_transform,
     dominating_sequence,
@@ -41,10 +43,10 @@ from weightedres import (
     center_from_tube,
     verify_split_tube,
     verify_tschirnhaus,
+    transition_agrees,
     width,
     witness_vectors,
 )
-from weightedres.blowup import chart_grading_ok, transition_agrees
 from weightedres.lattice import GT, LT
 from weightedres.textio import parse_center
 
@@ -173,7 +175,8 @@ def test_criterion_4_leading_terms_and_certificates():
                 continue
             if not is_in_mord(d) or mord_compare(d, canonical) != LT:
                 continue
-            J = CenterPresentation.on_variables(names, names[: len(entries)], entries)
+            coords = names[: len(entries)]
+            J = CenterPresentation(names, CoordinateChange.identity(names), coords, d)
             if not is_admissible(I, J):
                 continue
             if verify_tschirnhaus(I, J) is not None:
@@ -267,7 +270,8 @@ def test_criterion_8_tube_suite():
         ok = ok and V.width == tail
 
     J23 = parse_center("[x^2, y^3]")
-    ok = ok and rees_restriction_check(J23, rounding(J23), 6)
+    T23 = constant_tube(MultiOrder((2, 3)), params=("x", "y"))
+    ok = ok and rees_restriction_check(J23, rounding(J23), 6, T23)
 
     Z = parse_ideal("x^2 - y^3")
     ok = ok and transition_agrees(J23, 6, 0, 1, Z) and transition_agrees(J23, 6, 1, 0, Z)

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from weightedres import (
     MultiOrder,
     build_charts,
+    chart_grading_ok,
     controlled_transform,
     embedded_resolve,
     invariant_drop_check,
@@ -23,13 +24,12 @@ from weightedres import (
     rees_generators,
     rounding,
     strict_transform,
+    transition_agrees,
 )
 from weightedres.blowup import (
     BlowupStep,
     TrackedPoint,
     _eliminate_variable,
-    chart_grading_ok,
-    transition_agrees,
 )
 from weightedres.centers import AlignStep, leading_term_decomposition
 from weightedres.cli import main

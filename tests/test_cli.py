@@ -16,7 +16,6 @@ from weightedres.cli import main
 from weightedres.errors import ParseError
 from weightedres.lattice import LT
 from weightedres.textio import (
-    format_center,
     parse_center,
     parse_multiorder,
     parse_polynomial,
@@ -102,6 +101,17 @@ def test_staircase_text(capsys):
     # the six staircase corners are marked (last line is the legend)
     grid = out.splitlines()[1:-1]
     assert sum(line.count("G") for line in grid) == 6
+
+
+def test_staircase_text_marks_overlay_only_members(capsys):
+    code, out = run(capsys, "staircase", "(3,3)", "--overlay", "(2,3)", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "staircase of (3, 3) / overlay (2, 3)"
+    # rows run down from a_1 = 5; (2, 0) is the one point only the overlay holds
+    grid = [line.split()[1:] for line in lines[1:-2]]
+    marked = [(5 - i, j) for i, row in enumerate(grid) for j, c in enumerate(row) if c == "o"]
+    assert marked == [(2, 0)]
 
 
 def test_staircase_overlay_svg(capsys):
@@ -413,13 +423,13 @@ def test_value_round_trips():
         assert parse_multiorder(str(d)) == d
     for text in ("[x^5, y^7]", "[x^5, y^(15/2)]", "[s1, s2 | x^5, y^7]"):
         J = parse_center(text)
-        again = parse_center(format_center(J), J.ambient)
+        again = parse_center(str(J), J.ambient)
         assert again == J
 
 
 def test_center_round_trip_through_a_coordinate_change():
     J = parse_center("[(x + y^2)^5, y^11]", variables=("x", "y"))
-    again = parse_center(format_center(J), J.ambient)
+    again = parse_center(str(J), J.ambient)
     assert again == J
 
 
@@ -427,7 +437,7 @@ def test_center_round_trip_with_coefficients_and_shared_variables():
     # aligned variables are chosen without collisions and coefficients are
     # preserved, so constructed presentations reparse exactly
     J = parse_center("[(1/3*x + 2/3*y)^3, (x - y)^3]", variables=("x", "y"))
-    assert parse_center(format_center(J), J.ambient) == J
+    assert parse_center(str(J), J.ambient) == J
     polys = [str(p) for p in J.coordinate_polynomials()]
     assert polys == ["1/3*x + 2/3*y", "x - y"]
 
@@ -513,12 +523,15 @@ def test_huge_constant_is_refused_by_the_root_search_bound(capsys):
 # -- unknown variables and malformed settings -----------------------------------
 
 
-def test_unknown_variable_in_a_tschirnhaus_ideal_is_a_parse_error(capsys):
+def test_a_tschirnhaus_ideal_may_name_variables_the_center_does_not(capsys):
+    # the output of `center` feeds back: the free variable z joins the ambient
+    code, out = run(capsys, "center", "x^2 + y^3 + x^2*z", "--format", "text")
+    assert code == 0 and out.strip() == "mord (2, 3)  center [x^2, y^3]"
+    code, out = run(capsys, "tschirnhaus", "x^2 + y^3 + x^2*z", "[x^2, y^3]")
+    assert code == 0 and json.loads(out)["certificate"] is not None
     code, out = run(capsys, "tschirnhaus", "x + z", "[x^2]")
-    assert code == 2
-    error = json.loads(out)["error"]
-    assert error["code"] == "parse-error"
-    assert "'z'" in error["message"]
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "inadmissible"
 
 
 def test_parsers_with_an_explicit_ambient_reject_unknown_variables():

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from weightedres import (
+    CenterPresentation,
+    CoordinateChange,
     DomainError,
     MarkedIdealCollection,
     MultiOrder,
@@ -175,11 +177,8 @@ def test_center_is_admissible_and_locally_maximal(corpus):
                 continue
             if not is_in_mord(d):
                 continue
-            from weightedres import CenterPresentation
-
-            J = CenterPresentation.on_variables(
-                names, tuple(names[i] for i in sorted(chosen)), entries
-            )
+            coords = tuple(names[i] for i in sorted(chosen))
+            J = CenterPresentation(names, CoordinateChange.identity(names), coords, d)
             if is_admissible(I, J):
                 assert mord_compare(d, res.mord) != GT
 

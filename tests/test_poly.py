@@ -457,6 +457,11 @@ def test_parse_round_trip():
         assert parse_polynomial(str(f), VARS) == f
 
 
+def test_juxtaposition_is_multiplication():
+    assert P("2x y^2") == P("2*x*y^2")
+    assert P("x(x+y)") == P("x*(x+y)")
+
+
 # -- row echelon kernel ---------------------------------------------------------
 
 entries = st.one_of(

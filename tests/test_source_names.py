@@ -3,10 +3,12 @@
 A stdlib stand-in for a linter's undefined-name check: a name read only on
 an error path (an `except` clause, say) otherwise surfaces as a NameError
 in the one run that takes that path.  The converse check flags functions,
-classes and methods that no code, test or benchmark mentions: dead code
-that would otherwise be kept, exported and maintained for nothing.  A
-method counts as used only where some text reads it as `.name`, so a local
-helper that shares its name does not keep it alive.
+classes and methods that no code or benchmark mentions: dead code that
+would otherwise be kept, exported and maintained for nothing.  A test
+counts as a caller only of a name the package exports, so a definition
+that only tests call is dead too.  A method counts as used only where some
+text reads it as `.name`, so a local helper that shares its name does not
+keep it alive.
 """
 
 from __future__ import annotations
@@ -80,17 +82,33 @@ def definitions(source: str) -> list[str]:
     return names
 
 
-def unreferenced(defined: dict[str, list[str]], texts: dict[str, str], init: str) -> list[str]:
+def exports(init: str) -> set[str]:
+    """The names a package `__init__` imports from its modules."""
+    return {
+        alias.asname or alias.name
+        for node in ast.parse(init).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def unreferenced(
+    defined: dict[str, list[str]], texts: dict[str, str], init: str, tests: set[str]
+) -> list[str]:
     """Names defined (one entry per definition, keyed by module) that the
     searched texts never use: a function or class that no word mentions
     beyond the definitions themselves, a method that nothing reads as
-    `.name`.  The package `__init__` re-exports are not counted as uses."""
+    `.name`.  The package `__init__` re-exports are not counted as uses,
+    and a text in `tests` counts only for a name that `__init__` exports."""
+    exported = exports(texts[init])
     words: Counter[str] = Counter()
     reads: Counter[str] = Counter()
     for path, text in texts.items():
-        if path != init:
-            words.update(WORD.findall(text))
-            reads.update(ATTRIBUTE.findall(text))
+        if path == init:
+            continue
+        test = path in tests
+        words.update(w for w in WORD.findall(text) if not test or w in exported)
+        reads.update(r for r in ATTRIBUTE.findall(text) if not test or r in exported)
     qualified = [name for names in defined.values() for name in names]
     sites = Counter(name.rpartition(".")[2] for name in qualified)
     dead = set()
@@ -121,17 +139,31 @@ def library_hooks() -> set[str]:
 def test_dead_definition_check_flags_an_unused_helper():
     module = "def used():\n    pass\n\ndef unused():\n    return used()\n"
     texts = {"m.py": module, "__init__.py": "from .m import unused\n"}
-    assert unreferenced({"m.py": definitions(module)}, texts, "__init__.py") == ["unused"]
+    assert unreferenced({"m.py": definitions(module)}, texts, "__init__.py", set()) == ["unused"]
 
 
 def test_dead_definition_check_wants_a_method_read_as_an_attribute():
     module = "class C:\n    def helper(self):\n        pass\n\n    def used(self):\n        pass\n"
     texts = {
         "m.py": module,
-        "test_m.py": "def helper(c):\n    return helper(c) or C().used()\n",
+        "n.py": "def helper(c):\n    return helper(c) or C().used()\n",
         "__init__.py": "",
     }
-    assert unreferenced({"m.py": definitions(module)}, texts, "__init__.py") == ["helper"]
+    assert unreferenced({"m.py": definitions(module)}, texts, "__init__.py", set()) == ["helper"]
+
+
+def test_dead_definition_check_counts_a_test_only_for_an_export():
+    module = "def public():\n    pass\n\nclass C:\n    def helper(self):\n        pass\n"
+    texts = {
+        "m.py": module,
+        "test_m.py": "public(); C().helper()\n",
+        "__init__.py": "from .m import C, public\n",
+    }
+    dead = unreferenced({"m.py": definitions(module)}, texts, "__init__.py", {"test_m.py"})
+    assert dead == ["helper"]
+    texts["__init__.py"] = "from .m import C\n"
+    dead = unreferenced({"m.py": definitions(module)}, texts, "__init__.py", {"test_m.py"})
+    assert dead == ["helper", "public"]
 
 
 def test_every_definition_is_referenced():
@@ -140,8 +172,9 @@ def test_every_definition_is_referenced():
         for top in SEARCHED
         for path in sorted((ROOT / top).rglob("*.py"))
     }
+    tests = {path for path in texts if Path(path).is_relative_to(ROOT / "tests")}
     defined = {str(path): definitions(texts[str(path)]) for path in sorted(SRC.glob("*.py"))}
-    dead = set(unreferenced(defined, texts, str(SRC / "__init__.py"))) - library_hooks()
+    dead = set(unreferenced(defined, texts, str(SRC / "__init__.py"), tests)) - library_hooks()
     assert sorted(dead) == []
 
 

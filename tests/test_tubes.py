@@ -20,6 +20,7 @@ from weightedres import (
     multiorder,
     parameter_check,
     parse_ideal,
+    parse_polynomial,
     rees_restriction_check,
     rounding,
     split_gt1,
@@ -32,7 +33,6 @@ from weightedres import (
 from weightedres.cli import main
 from weightedres.errors import NotATubeError, UnrepresentableError
 from weightedres.textio import parse_center
-from weightedres.tubes import TubeInvariant, tube_invariant_compare
 
 F = Fraction
 
@@ -280,16 +280,6 @@ def test_width_equals_invariant_tail_on_computed_centers(corpus):
         assert V.width == tail
 
 
-def test_tube_invariant_order():
-    a = TubeInvariant(MultiOrder((2, 3)), frozenset({"p"}))
-    b = TubeInvariant(MultiOrder((2, 2)), frozenset({"p", "q"}))
-    assert tube_invariant_compare(a, b) == 1
-    c = TubeInvariant(MultiOrder((2, 3)), frozenset({"p", "q"}))
-    assert tube_invariant_compare(a, c) == -1
-    d = TubeInvariant(MultiOrder((2, 3)), frozenset({"q"}))
-    assert tube_invariant_compare(a, d) is None
-
-
 # -- tight presentations ---------------------------------------------------------
 
 
@@ -342,15 +332,72 @@ def test_tubular_pieces_are_multiplicative():
 
 def test_rees_restriction_equality():
     J = parse_center("[x^2, y^3]")
-    Z = rounding(J)
-    assert rees_restriction_check(J, Z, 6)
-    assert rees_restriction_check(J, PolyIdeal(("x", "y"), []), 6)
+    tube = constant_tube(MultiOrder((2, 3)), params=("x", "y"))
+    assert rees_restriction_check(J, rounding(J), 6, tube)
+    assert rees_restriction_check(J, PolyIdeal(("x", "y"), []), 6, tube)
 
 
 def test_rees_restriction_negative_control():
     J = parse_center("[x^2, y^3]")
     Z = rounding(J)
     bad = constant_tube(MultiOrder((2, 5)), params=("x", "y"))
-    assert not rees_restriction_check(J, Z, 6, tube=bad)
-    assert not rees_restriction_check(J, Z, 30, tube=bad)
+    assert not rees_restriction_check(J, Z, 6, bad)
+    assert not rees_restriction_check(J, Z, 30, bad)
+    swapped = constant_tube(MultiOrder((2, 3)), params=("y", "x"))
+    assert not rees_restriction_check(J, PolyIdeal(("x", "y"), []), 6, swapped)
+
+
+_T23 = constant_tube(MultiOrder((2, 3)))
+_OVER_X = constant_tube(MultiOrder((2, 3)), base_vars=("x",))
+_ON_XY = constant_tube(MultiOrder((2, 3)), params=("x", "y"))
+_NO_XY = PolyIdeal(("x", "y"), [])
+
+
+@pytest.mark.parametrize(
+    "check, expected",
+    [
+        pytest.param(lambda: verify_split_tube(_T23, MultiOrder((2,))), False, id="short-width"),
+        pytest.param(lambda: verify_split_tube(_T23, MultiOrder((1, 3))), False, id="unit-entry"),
+        pytest.param(
+            lambda: verify_split_tube(
+                _OVER_X, MultiOrder((2, 3)), [parse_polynomial("t1 + x", _OVER_X.ambient()), "t2"]
+            ),
+            False,
+            id="pure-base-candidate",
+        ),
+        pytest.param(
+            lambda: verify_split_tube(_T23, MultiOrder((2, 3)), ["t1", "t1"]),
+            False,
+            id="singular-pair",
+        ),
+        pytest.param(
+            lambda: verify_split_tube(_T23, MultiOrder((2, 4))), False, id="complement-size"
+        ),
+        pytest.param(lambda: parameter_check(_T23, ["t1"]), False, id="short-candidate"),
+        pytest.param(lambda: parameter_check(_T23, ["t2", "t2"]), False, id="singular-candidate"),
+        pytest.param(
+            lambda: rees_restriction_check(
+                parse_center("[x^2, y^3]"), parse_ideal("x^2 + y, x*y + 1"), 6, _ON_XY
+            ),
+            UnrepresentableError,
+            id="no-normal-form",
+        ),
+        pytest.param(
+            lambda: rees_restriction_check(parse_center("[z | x^2, y^3]"), _NO_XY, 6, _ON_XY),
+            UnrepresentableError,
+            id="s-block",
+        ),
+        pytest.param(
+            lambda: rees_restriction_check(parse_center("[(x+y)^2, y^3]"), _NO_XY, 6, _ON_XY),
+            UnrepresentableError,
+            id="changed-coordinates",
+        ),
+    ],
+)
+def test_tube_verifications_answer_false_or_refuse(check, expected):
+    if expected is False:
+        assert check() is False
+    else:
+        with pytest.raises(expected):
+            check()
 
