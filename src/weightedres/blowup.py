@@ -156,18 +156,16 @@ def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
         raise DomainError(f"N={N} is not a common root order for {center}")
     weights = tuple(N // L * wj for wj in w)
     positions = tuple(center.ambient.index(v) for v in center.coords)
+    taken = list(center.ambient)
+    s = fresh_name("s", taken)
+    taken.append(s)
+    drawn: dict[str, str] = {}
+    for v in center.coords:
+        drawn[v] = fresh_name(v + "'", taken)
+        taken.append(drawn[v])
     charts = []
     for k, chart_coord in enumerate(center.coords):
-        taken = list(center.ambient)
-        s = fresh_name("s", taken)
-        taken.append(s)
-        primes: dict[str, str] = {}
-        for v in center.coords:
-            if v == chart_coord:
-                continue
-            p = fresh_name(v + "'", taken)
-            primes[v] = p
-            taken.append(p)
+        primes = {v: p for v, p in drawn.items() if v != chart_coord}
         ambient = tuple(
             s if v == chart_coord else primes.get(v, v) for v in center.ambient
         )
@@ -207,14 +205,16 @@ def strict_transform(Z: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
 
 
 def chart_grading_ok(chart: WeightedChart, transform: PolyIdeal) -> bool:
-    """Each generator is homogeneous for the residual action and its weight
-    vanishes modulo the stabilizer order w_k.  On an exponent vector that
-    weight is e_s - sum_{j != k} w_j * e_j, which is e_s - sum_j w_j * e_j
-    modulo w_k, since s sits at the chart coordinate's position."""
+    """Each term of a controlled transform has residual weight -N modulo the
+    stabilizer order w_k.  The stabilizer acts by s -> zeta*s and
+    u_j' -> zeta^(-w_j)*u_j', so the pullback is invariant and dividing it
+    by s^N leaves weight -N.  On an exponent vector that weight is
+    e_s - sum_{j != k} w_j * e_j, which is e_s - sum_j w_j * e_j modulo w_k,
+    since s sits at the chart coordinate's position."""
     s = chart._positions[chart.chart_index]
     weighted = tuple(zip(chart._positions, chart.weights))
     return all(
-        (exp[s] - sum(w * exp[p] for p, w in weighted)) % chart.stabilizer_order == 0
+        (exp[s] - sum(w * exp[p] for p, w in weighted) + chart.N) % chart.stabilizer_order == 0
         for g in transform.generators
         for exp in g.terms
     )
@@ -407,44 +407,39 @@ def _has_irrational_singular_fiber_point(fiber: list[Polynomial], var: str) -> b
     return len(g) > 1
 
 
-def _leading_coefficient(g: Polynomial, v: str) -> Polynomial:
-    """The coefficient of the top power of v in g, a polynomial free of v."""
-    i = g.variables.index(v)
-    top = g.degree_in(v)
-    return Polynomial(
-        g.variables,
-        {e[:i] + (0,) + e[i + 1 :]: c for e, c in g.terms.items() if e[i] == top},
-    )
-
-
 def _pseudo_remainder(f: Polynomial, g: Polynomial, v: str) -> Polynomial:
-    """Pseudo-remainder of f by g in v.  Each step cancels the top v-term
-    of f, so deg_v f strictly drops and the loop ends."""
-    dg = g.degree_in(v)
-    lc_g = _leading_coefficient(g, v)
-    i = f.variables.index(v)
+    """Pseudo-remainder of f by g in v.  With head(h) the terms of h of top
+    v-degree, that degree lowered by deg_v g, each step f -> head(g) * f -
+    head(f) * g cancels the top v-terms of f, so deg_v f strictly drops and
+    the loop ends."""
+    i, dg = f.variables.index(v), g.degree_in(v)
+
+    def head(h: Polynomial) -> Polynomial:
+        d = h.degree_in(v)
+        return Polynomial(
+            h.variables,
+            {e[:i] + (d - dg,) + e[i + 1 :]: c for e, c in h.terms.items() if e[i] == d},
+        )
+
+    lc_g = head(g)
     while not f.is_zero() and f.degree_in(v) >= dg:
-        shift = [0] * len(f.variables)
-        shift[i] = f.degree_in(v) - dg
-        f = lc_g * f - _leading_coefficient(f, v) * Polynomial.monomial(
-            tuple(shift), f.variables
-        ) * g
+        f = lc_g * f - head(f) * g
     return f
 
 
 def _eliminate_variable(fiber: list[Polynomial], u: str, v: str) -> list[Fraction]:
-    """Candidate u-values of common zeros: rational roots of a v-eliminant
-    obtained by a pseudo-remainder sequence of the first two generators."""
-    pair = [g for g in fiber if v in g.support()]
-    if len(pair) < 2:
-        return []
-    f, g = sorted(pair[:4], key=lambda p: p.degree_in(v))[:2]
-    while g.degree_in(v) > 0:
-        r = _pseudo_remainder(f, g, v)
-        if r.is_zero():
-            return []  # positive-dimensional overlap: give up here
-        f, g = g, r
-    return _rational_roots(_axis_profile(g, u))
+    """Candidate u-values of common zeros: the rational roots of the first
+    pseudo-remainder sequence, over pairs of the generators containing v in
+    order of v-degree, that ends in a nonzero v-free polynomial.  That end
+    lies in the ideal of its pair, so it vanishes at every common zero.  []
+    when every pair ends in zero."""
+    with_v = sorted((g for g in fiber if v in g.support()), key=lambda p: p.degree_in(v))
+    for f, g in itertools.combinations(with_v, 2):
+        while g.degree_in(v) > 0:
+            f, g = g, _pseudo_remainder(f, g, v)
+        if not g.is_zero():
+            return _rational_roots(_axis_profile(g, u))
+    return []
 
 
 def _fiber_points(
@@ -458,8 +453,7 @@ def _fiber_points(
     polynomial, so the degree cap bounds it.  Returns (points,
     irrational_flag)."""
     s = chart.exceptional
-    fiber = [g.restrict(s) for g in transform.generators]
-    fiber = [g for g in fiber if not g.is_zero()]
+    fiber = list(transform.restrict(s).generators)
     active = sorted(
         {v for g in fiber for v in g.support() if v != s},
         key=chart.ambient.index,
@@ -471,7 +465,7 @@ def _fiber_points(
     for v in active:
         for g in fiber:
             candidates[v].update(_rational_roots(_axis_profile(g, v)))
-    if len(active) == 2 and len(fiber) >= 2:
+    if len(active) == 2:
         u, v = active
         candidates[u].update(_eliminate_variable(fiber, u, v))
         candidates[v].update(_eliminate_variable(fiber, v, u))
@@ -549,11 +543,8 @@ def _run_driver(
                 return trace
 
             irrational_hit = False
-            if regular is None and (
-                divisor is not None
-                or (len(res.center.coords) == 1 and res.center.exponents[0] == 1)
-            ):
-                # a one-coordinate weight-one center: exact division
+            if regular is None and mord.entries == (1,):
+                # the fallback divisor or a one-coordinate weight-one center
                 if divisor is None:
                     divisor = res.center.coordinate_polynomials()[0]
                 gens = [g.divide_exact(divisor) for g in ideal.generators]

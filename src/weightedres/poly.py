@@ -92,12 +92,6 @@ class Polynomial:
         exp = tuple(1 if j == i else 0 for j in range(len(vs)))
         return cls(vs, {exp: Fraction(1)})
 
-    @classmethod
-    def monomial(
-        cls, exp: Exponent, variables: Iterable[str], coeff: Scalar = 1
-    ) -> "Polynomial":
-        return cls(variables, {tuple(exp): Fraction(coeff)})
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:

@@ -16,40 +16,40 @@ from .lattice import LatticeIdeal, MultiOrder
 from .poly import check_degree
 
 
-def _grid_data(d: MultiOrder):
-    """The lattice, its minimal generators and the grid size.  The grid grows
-    with the entries, and an entry's pure power is a minimal generator of
-    degree ceil(entry), so the degree cap refuses an entry above it."""
+def _grid(d: MultiOrder, overlay: MultiOrder | None):
+    """The grid size (rows, cols) and the mark of a lattice point: G for a
+    minimal generator, * for a member, o for a member of the overlay only,
+    . outside.  The grid grows with the entries, and an entry's pure power
+    is a minimal generator of degree ceil(entry), so the degree cap refuses
+    an entry above it."""
     if len(d) != 2:
         raise DomainError("staircase diagrams need exactly two entries")
     for e in d.entries:
         check_degree(math.ceil(e), "staircase entry")
     lattice = LatticeIdeal(d)
     gens = set(lattice.minimal_generators())
-    rows = math.ceil(d.entries[0]) + 2
-    cols = math.ceil(d.entries[1]) + 2
-    return lattice, gens, rows, cols
+    over = LatticeIdeal(overlay) if overlay is not None else None
+
+    def mark(point: tuple[int, int]) -> str:
+        if point in gens:
+            return "G"
+        if lattice.contains(point):
+            return "*"
+        if over is not None and over.contains(point):
+            return "o"
+        return "."
+
+    return math.ceil(d.entries[0]) + 2, math.ceil(d.entries[1]) + 2, mark
 
 
 def staircase_text(d: MultiOrder, overlay: MultiOrder | None = None) -> str:
     """ASCII rendering: G = minimal generator, * = member, . = outside;
     with an overlay, o marks points that are members for the overlay only."""
-    lattice, gens, rows, cols = _grid_data(d)
-    over = LatticeIdeal(overlay) if overlay is not None else None
-    lines = []
-    for a1 in range(rows, -1, -1):
-        cells = []
-        for a2 in range(cols + 1):
-            point = (a1, a2)
-            if point in gens:
-                cells.append("G")
-            elif lattice.contains(point):
-                cells.append("*")
-            elif over is not None and over.contains(point):
-                cells.append("o")
-            else:
-                cells.append(".")
-        lines.append(f"{a1:>3} " + " ".join(cells))
+    rows, cols, mark = _grid(d, overlay)
+    lines = [
+        f"{a1:>3} " + " ".join(mark((a1, a2)) for a2 in range(cols + 1))
+        for a1 in range(rows, -1, -1)
+    ]
     lines.append("    " + " ".join(f"{a2 % 10}" for a2 in range(cols + 1)))
     header = [f"staircase of {d}"]
     if overlay is not None:
@@ -68,7 +68,8 @@ def _svg_line(x1, y1, x2, y2, stroke, dash="") -> str:
 
 def staircase_svg(d: MultiOrder, overlay: MultiOrder | None = None) -> str:
     """Self-contained SVG: lattice dots, the value-one line, staircase hull."""
-    lattice, gens, rows, cols = _grid_data(d)
+    rows, cols, mark = _grid(d, None)
+    marks = {(a1, a2): mark((a1, a2)) for a1 in range(rows + 1) for a2 in range(cols + 1)}
     scale = 40
     margin = 30
     width = margin * 2 + cols * scale
@@ -96,22 +97,14 @@ def staircase_svg(d: MultiOrder, overlay: MultiOrder | None = None) -> str:
             )
         )
     # staircase hull through the minimal generators, sorted by first entry
-    corners = sorted(gens, key=lambda p: (-p[0], p[1]))
+    corners = sorted((p for p, m in marks.items() if m == "G"), key=lambda p: (-p[0], p[1]))
     for (a, b), (c, e) in zip(corners, corners[1:]):
         parts.append(_svg_line(X(b), Y(a), X(b), Y(c), "red"))
         parts.append(_svg_line(X(b), Y(c), X(e), Y(c), "red"))
-    for a1 in range(rows + 1):
-        for a2 in range(cols + 1):
-            point = (a1, a2)
-            if point in gens:
-                fill, r = "black", 5
-            elif lattice.contains(point):
-                fill, r = "red", 4
-            else:
-                fill, r = "lightgray", 2
-            parts.append(
-                f'<circle cx="{X(a2):.1f}" cy="{Y(a1):.1f}" r="{r}" fill="{fill}"/>'
-            )
+    dots = {"G": ("black", 5), "*": ("red", 4)}
+    for (a1, a2), m in marks.items():
+        fill, r = dots.get(m, ("lightgray", 2))
+        parts.append(f'<circle cx="{X(a2):.1f}" cy="{Y(a1):.1f}" r="{r}" fill="{fill}"/>')
     parts.append("</svg>")
     return "\n".join(parts)
 

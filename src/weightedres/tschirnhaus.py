@@ -155,11 +155,11 @@ def _claim(
 def make_tschirnhaus(I: PolyIdeal, center: CenterPresentation) -> TschirnhausCertificate:
     """Transform a canonical presentation into a certified one.
 
-    Raises CertificateError when no witness material exists at some level;
-    certificates exist exactly for canonical centers, so that failure
-    signals a non-canonical input.  Material whose only unit coefficients
-    are not constant is refused as such.  The result is re-verified before
-    it is returned.
+    Raises CertificateError when no witness material exists at some level,
+    which signals a non-canonical input.  Material whose only unit
+    coefficients are not constant is refused as such, so a canonical center
+    can still be refused: `[y^5, x^5]` for `x*y^4 + x^3*y^2*z^3`.  The
+    result is re-verified before it is returned.
     """
     _check_input(I, center, "construction")
     current = center

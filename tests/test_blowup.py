@@ -574,20 +574,25 @@ def test_each_tracked_point_has_its_invariant_computed_once(monkeypatch, text, c
 
 
 def test_bivariate_fiber_points_include_non_axis_zeros():
+    # when the first generator pair shares the factor u - v, its
+    # pseudo-remainder sequence ends in zero and the next pair is tried
     from weightedres.blowup import _fiber_points
 
     amb = ("s", "u", "v")
-    fiber_system = parse_ideal("u^2 + v^2 - 25, u*v - 12", amb)
     chart_stub = type("Stub", (), {"exceptional": "s", "ambient": amb})()
-    points, irrational = _fiber_points(fiber_system, chart_stub)
-    found = {tuple((k, int(x)) for k, x in p) for p in points if p}
-    assert found == {
-        (("u", 3), ("v", 4)),
-        (("u", 4), ("v", 3)),
-        (("u", -3), ("v", -4)),
-        (("u", -4), ("v", -3)),
+    cases = {
+        "u^2 + v^2 - 25, u*v - 12": {(3, 4), (4, 3), (-3, -4), (-4, -3)},
+        "(u-v)*(u+v-7), (u-v)*(u-2*v+2), u^2+v^2-25": {(4, 3)},
+        "(u-v)*(u+v-7), (u-v)*(u-2*v+2), (u-v)*(u*v-12), (u-v)*(v-3), (u-4)*(u+v-7)": {
+            (F(7, 2), F(7, 2)),
+            (4, 3),
+            (4, 4),
+        },
     }
-    assert not irrational
+    for text, expected in cases.items():
+        points, irrational = _fiber_points(parse_ideal(text, amb), chart_stub)
+        assert points[0] == () and not irrational
+        assert {tuple(r for _, r in p) for p in points[1:]} == expected, text
 
 
 
@@ -783,12 +788,33 @@ def test_chart_transition_compatibility():
 
 
 def test_stacky_grading_and_stabilizers():
-    I = parse_ideal("x^5 + x^3*y^3 + y^7")
-    J = multiorder(I).center
-    charts = build_charts(J, 35)
-    assert [c.stabilizer_order for c in charts] == [7, 5]
-    for chart in charts:
-        assert chart_grading_ok(chart, controlled_transform(I, chart))
+    J = multiorder(parse_ideal("x^5 + x^3*y^3 + y^7")).center
+    assert [c.stabilizer_order for c in build_charts(J, 35)] == [7, 5]
+    # residual weight -N mod w_k, not 0: the two differ on a chart whose w_k
+    # does not divide N, as for a fractional entry
+    for text, roots in (
+        ("x^5 + x^3*y^3 + y^7", (35,)),
+        ("x^5 + x^3*y^3 + y^8", (15, 30)),
+        ("x^4, x*y^4, x^2*y*z^2", (32,)),
+    ):
+        I = parse_ideal(text)
+        J = multiorder(I).center
+        for N in roots:
+            for chart in build_charts(J, N):
+                assert chart_grading_ok(chart, controlled_transform(I, chart)), (text, N)
+
+
+def test_chart_names_are_drawn_once_per_blowup():
+    # the exceptional name and each coordinate's prime are the same on every
+    # chart, even where a drawn name collides with the ambient
+    J = parse_center("[x^2, x'^3, y^4]", ("x", "x'", "s", "y'", "y"))
+    charts = build_charts(J, 12)
+    assert {c.exceptional for c in charts} == {"s1"}
+    assert [c.primes for c in charts] == [
+        {"x'": "x''", "y": "y'1"},
+        {"x": "x'1", "y": "y'1"},
+        {"x": "x'1", "x'": "x''"},
+    ]
 
 
 def test_grading_check_refuses_a_term_of_the_wrong_residual_weight():

@@ -195,8 +195,8 @@ def test_nu_superadditivity_and_monomial_equality():
         if f.is_zero() or g.is_zero():
             continue
         assert nu_valuation(f * g, J) >= nu_valuation(f, J) + nu_valuation(g, J)
-        mf = Polynomial.monomial((rng.randint(0, 3), rng.randint(0, 3)), amb)
-        mg = Polynomial.monomial((rng.randint(0, 3), rng.randint(0, 3)), amb)
+        mf = Polynomial(amb, {(rng.randint(0, 3), rng.randint(0, 3)): 1})
+        mg = Polynomial(amb, {(rng.randint(0, 3), rng.randint(0, 3)): 1})
         assert nu_valuation(mf * mg, J) == nu_valuation(mf, J) + nu_valuation(mg, J)
 
 

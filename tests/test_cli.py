@@ -448,6 +448,42 @@ def test_tube_rejects_widths_with_unit_entries(capsys):
     assert json.loads(out)["error"]["code"] == "domain-error"
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (
+            ["embed-resolve", "x + x^2 + y^3", "--codim", "2"],
+            "contact-alignment",
+            "embedded driver hit a non-alignable divisor point",
+        ),
+        (["tube", "[x^2, y^(5/2)]"], "non-integral", "[x^2, y^(5/2)] is not integral"),
+        # ROADMAP item 6: a contact that cannot be aligned after step 1 still
+        # ends the run with an error, and the step already made is lost; a
+        # typed driver status for it changes this case on purpose
+        (
+            ["principalize", "(x^2 - 2*y^2)*(x - y)^2 + y^9"],
+            "contact-alignment",
+            "no polynomially alignable contact in ",
+        ),
+    ],
+    ids=["embedded-divisor-point", "fractional-tube", "contact-after-step-1"],
+)
+def test_refusals_that_no_other_case_reaches(capsys, argv, code, message):
+    exit_code, out = run(capsys, *argv)
+    error = json.loads(out)["error"]
+    assert exit_code == 1 and error["code"] == code
+    assert error["message"].startswith(message)
+    assert "steps" not in out
+
+
+def test_a_center_that_needs_a_shear_prints_no_certificate(capsys):
+    # the center verb's own output, [y^5, x^5], is not certified as given
+    _, out = run(capsys, "center", "x*y^4 + x^3*y^2*z^3", "--format", "text")
+    assert out.startswith("mord (5, 5)  center [y^5, x^5]")
+    code, out = run(capsys, "tschirnhaus", "x*y^4 + x^3*y^2*z^3", "[y^5, x^5]")
+    assert code == 0 and json.loads(out) == {"certificate": None}
+
+
 def test_a_negative_weight_parses_and_is_refused_by_the_domain(capsys):
     code, out = run(capsys, "tube", "(-2, 3)")
     assert code == 1

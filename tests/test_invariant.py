@@ -233,7 +233,7 @@ def test_oracle_agrees_with_the_recursion_on_random_ideals():
                 exp = tuple(rng.randint(0, 6) for _ in range(n))
                 if 1 <= sum(exp) <= 12:
                     break
-            gens.append(Polynomial.monomial(exp, names))
+            gens.append(Polynomial(names, {exp: 1}))
         I = PolyIdeal(names, gens)
         assert multiorder(I).mord == monomial_center_oracle(I).mord
 
@@ -276,6 +276,6 @@ def _random_triangular(rng, names):
             if rng.random() < 0.6:
                 exp = [0] * n
                 exp[j] = rng.randint(1, 2)
-                img = img + Polynomial.monomial(tuple(exp), names, rng.choice([1, -1, 2]))
+                img = img + Polynomial(names, {tuple(exp): rng.choice([1, -1, 2])})
         images[v] = img
     return images

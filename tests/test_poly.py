@@ -432,10 +432,10 @@ def reference_divmod(f, divisor):
         diff = tuple(a - b for a, b in zip(exp, lead_exp))
         if any(d < 0 for d in diff):
             r[exp] = c
-            rest = rest - Polynomial.monomial(exp, vs, c)
+            rest = rest - Polynomial(vs, {exp: c})
         else:
             q[diff] = c / lead_c
-            rest = rest - divisor * Polynomial.monomial(diff, vs, c / lead_c)
+            rest = rest - divisor * Polynomial(vs, {diff: c / lead_c})
     return Polynomial(vs, q), Polynomial(vs, r)
 
 

@@ -1,4 +1,5 @@
-"""Every global name the package reads is bound, and every name it defines is used.
+"""Every global name the package and its tests read is bound, every name the
+package defines is used, and every import is read.
 
 A stdlib stand-in for a linter's undefined-name check: a name read only on
 an error path (an `except` clause, say) otherwise surfaces as a NameError
@@ -22,6 +23,7 @@ from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "weightedres"
+CHECKED = sorted(SRC.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
 MODULE_DUNDERS = {"__file__", "__name__", "__doc__", "__spec__", "__path__"}
 
 
@@ -34,8 +36,15 @@ def undefined_globals(source: str, filename: str) -> set[tuple[str, str]]:
     missing = set()
 
     def walk(table):
+        # is_local: symtable takes any table named "top" for the module, so it
+        # calls the locals of a function named top global as well
         for sym in table.get_symbols():
-            if sym.is_referenced() and sym.is_global() and sym.get_name() not in known:
+            if (
+                sym.is_referenced()
+                and sym.is_global()
+                and not sym.is_local()
+                and sym.get_name() not in known
+            ):
                 missing.add((table.get_name(), sym.get_name()))
         for child in table.get_children():
             walk(child)
@@ -49,10 +58,17 @@ def test_checker_flags_an_unbound_name_in_a_handler():
     assert undefined_globals(source, "snippet.py") == {("f", "MissingError")}
 
 
+def test_checker_reads_a_function_named_top_as_a_function():
+    source = "def top(h):\n    t = h\n    return t\n"
+    assert undefined_globals(source, "snippet.py") == set()
+    source = "def top(h):\n    return h + Missing\n"
+    assert undefined_globals(source, "snippet.py") == {("top", "Missing")}
+
+
 def test_package_has_no_undefined_global_names():
     found = {
         path.name: sorted(undefined_globals(path.read_text(encoding="utf-8"), str(path)))
-        for path in sorted(SRC.glob("*.py"))
+        for path in CHECKED
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
 
@@ -183,14 +199,17 @@ def test_every_definition_is_referenced():
 
 def unused_imports(source: str) -> list[str]:
     """Names a module imports but never reads; a read inside a quoted
-    annotation counts."""
+    annotation counts, and an import marked `# noqa: F401` is kept for its
+    side effect."""
     tree = ast.parse(source)
+    lines = source.splitlines()
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) or (
             isinstance(node, ast.ImportFrom) and node.module != "__future__"
         ):
-            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            if "# noqa: F401" not in lines[node.lineno - 1]:
+                imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
     notes = [n.annotation for n in ast.walk(tree) if isinstance(n, (ast.arg, ast.AnnAssign))]
     notes += [n.returns for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
     quoted = [
@@ -210,6 +229,7 @@ def test_unused_import_check_flags_the_unread_names():
         "import os\n"
         "from typing import Iterable, Mapping\n"
         "from .poly import Polynomial as P, power_product\n\n"
+        "import sys  # noqa: F401\n\n"
         "def f(m: 'Mapping[str, int]') -> 'P':\n"
         "    return os.sep\n"
     )
@@ -219,7 +239,7 @@ def test_unused_import_check_flags_the_unread_names():
 def test_every_import_is_used():
     found = {
         path.name: unused_imports(path.read_text(encoding="utf-8"))
-        for path in sorted(SRC.glob("*.py"))
+        for path in CHECKED
         if path.stem != "__init__"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}

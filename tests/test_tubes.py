@@ -222,7 +222,7 @@ def _random_filtration_params(rng, T):
                 full = tuple(
                     exp[T.params.index(v)] if v in T.params else 0 for v in amb
                 )
-                img = img + Polynomial.monomial(full, amb, rng.choice([1, -1, 2]))
+                img = img + Polynomial(amb, {full: rng.choice([1, -1, 2])})
         cands.append(img)
     return cands
 
@@ -301,6 +301,20 @@ def test_tight_for_a_rounded_center():
     Z = rounding(J)
     verdict = tight_presentation_check(Z, [], ["x", "y"], MultiOrder((2, 3)))
     assert verdict.tight_exists and verdict.valid
+
+
+@pytest.mark.parametrize(
+    "t_part, d, message",
+    [
+        (["x", "y"], (1, 3), "tube widths must exceed one"),
+        (["x"], (2, 3), "t-part length must match the width"),
+    ],
+    ids=["unit-entry", "short-t-part"],
+)
+def test_tight_check_refuses_a_bad_width_or_t_part(t_part, d, message):
+    Z = parse_ideal("x^2", ("x", "y"))
+    with pytest.raises(DomainError, match=message):
+        tight_presentation_check(Z, [], t_part, MultiOrder(d))
 
 
 # -- tubular Rees algebra ----------------------------------------------------------
