@@ -18,12 +18,15 @@ are kept.
 
 The principalization driver repeats: compute the canonical center at every
 tracked rational point, blow up, transform, and record the invariant, until
-all transforms are unit ideals.  Tracked points are chart origins plus the
-rational zeros of the transform on the exceptional divisor found by
-axis-restricted root search; a singular continuation point with no rational
-representative stops the run with a typed status rather than passing.  A
-one-coordinate weight-one center cuts out a regular hypersurface, whose
-blowup is an isomorphism: that step just divides the ideal by the equation.
+all transforms are unit ideals.  A step aligns its ideal once and reads each
+chart's transform and recorded substitution off those exponent vectors.
+Tracked points are chart origins plus the rational zeros of the transform on
+the exceptional divisor found by root search on each distinct axis profile;
+a singular continuation point with no rational representative stops the run
+with a typed status rather than passing.  A one-coordinate weight-one center
+cuts out a regular hypersurface, whose blowup is an isomorphism: that step
+just divides the ideal by the equation.  The start point's invariant, on the
+full ideal, dominates the cost of a run.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .errors import (
 )
 from .invariant import InvariantResult, multiorder
 from .lattice import LT, LatticeIdeal, MultiOrder, grading, is_in_mord, mord_compare
-from .poly import Polynomial, PolyIdeal, check_degree, fresh_name
+from .poly import Polynomial, PolyIdeal, check_degree, fresh_name, monomial_str
 
 # largest integral leading or trailing coefficient whose divisors the
 # rational-root search enumerates (about 10^6 trial divisions each)
@@ -109,45 +112,35 @@ class WeightedChart:
     stabilizer_order: int
     _positions: tuple[int, ...]  # of the center coordinates, in either ambient
 
-    def _pull_aligned(self, aligned: Polynomial, shift: int | None = 0) -> Polynomial:
-        """The chart's monomial map on an aligned polynomial, divided by
+    def _pull_aligned(self, aligned: tuple[Polynomial, ...], shift: int | None) -> PolyIdeal:
+        """The chart's monomial map on aligned generators, each divided by
         s^shift (by the largest power of s it can, if None).
 
         On an exponent vector e it replaces the chart coordinate's entry with
         sum_j w_j * e_j - shift, the exponent of s, and keeps every other
         entry.  It is injective, so no two terms meet.  A negative s-exponent
-        on any term raises AdmissibilityError; then a kept term whose total
-        degree is above the degree cap raises ResourceLimitError, as the
-        product that computes it would.
+        on any term of a generator raises AdmissibilityError; then a kept
+        term whose total degree is above the degree cap raises
+        ResourceLimitError, as the product that computes it would.
         """
         weighted = tuple(zip(self._positions, self.weights))
         k = self._positions[self.chart_index]
-        s_exp = {exp: sum(w * exp[p] for p, w in weighted) for exp in aligned.terms}
-        shift = min(s_exp.values(), default=0) if shift is None else shift
-        if any(v < shift for v in s_exp.values()):
-            raise AdmissibilityError(
-                f"pullback of {aligned} is not divisible by "
-                f"{self.exceptional}^{shift}: broken center"
-            )
-        terms = {}
-        for exp, c in aligned.terms.items():
-            e = exp[:k] + (s_exp[exp] - shift,) + exp[k + 1 :]
-            check_degree(sum(e))
-            terms[e] = c
-        return Polynomial(self.ambient, terms)
-
-    @property
-    def substitution(self) -> dict[str, Polynomial]:
-        """The chart as a substitution u_k -> s^{w_k}, u_j -> s^{w_j} * u_j'."""
-        amb = self.center.ambient
-        return {
-            v: self._pull_aligned(Polynomial.variable(v, amb)) for v in self.center.coords
-        }
-
-    def _pull(self, I: PolyIdeal, shift: int | None) -> PolyIdeal:
-        """Align all of I once, then map each generator, divided by s^shift."""
-        gens = self.center._aligned(I).generators
-        return PolyIdeal(self.ambient, [self._pull_aligned(g, shift) for g in gens])
+        gens = []
+        for g in aligned:
+            s_exp = {exp: sum(w * exp[p] for p, w in weighted) for exp in g.terms}
+            least = min(s_exp.values(), default=0) if shift is None else shift
+            if any(v < least for v in s_exp.values()):
+                raise AdmissibilityError(
+                    f"pullback of {g} is not divisible by "
+                    f"{self.exceptional}^{least}: broken center"
+                )
+            terms = {}
+            for exp, c in g.terms.items():
+                e = exp[:k] + (s_exp[exp] - least,) + exp[k + 1 :]
+                check_degree(sum(e))
+                terms[e] = c
+            gens.append(Polynomial(self.ambient, terms))
+        return PolyIdeal(self.ambient, gens)
 
 
 def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
@@ -179,7 +172,7 @@ def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
     return charts
 
 
-def controlled_transform(I: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
+def controlled_transform(I: PolyIdeal, chart: WeightedChart, aligned=None) -> PolyIdeal:
     """Align I once, pull it back and divide exactly by s^N, s the exceptional.
 
     I may be written over some of the center's variables in any order, as in
@@ -188,20 +181,22 @@ def controlled_transform(I: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
     monomial, so no terms cancel and s^N divides a pulled-back generator
     exactly when every term has valuation >= 1.  The division therefore
     fails, with AdmissibilityError, exactly when the center is not
-    admissible for I.
+    admissible for I.  The charts of one blowup can share the alignment:
+    `aligned`, if given, is the tuple `chart.center._aligned(I).generators`.
     """
-    return chart._pull(I, chart.N)
+    return chart._pull_aligned(aligned or chart.center._aligned(I).generators, chart.N)
 
 
-def strict_transform(Z: PolyIdeal, chart: WeightedChart) -> PolyIdeal:
+def strict_transform(Z: PolyIdeal, chart: WeightedChart, aligned=None) -> PolyIdeal:
     """Align Z once, pull it back and saturate each generator by s.
 
     Z may be written over some of the center's variables in any order (one
     outside them is AmbientMismatchError).  Each generator is divided once
     by its largest power of s; generator-wise saturation is exact for
     principal and monomial ideals, which is the supported desk-scale class.
+    `aligned` is as in `controlled_transform`.
     """
-    return chart._pull(Z, None)
+    return chart._pull_aligned(aligned or chart.center._aligned(Z).generators, None)
 
 
 def chart_grading_ok(chart: WeightedChart, transform: PolyIdeal) -> bool:
@@ -314,13 +309,13 @@ class PrincipalizationTrace:
         return len(self.steps)
 
 
-def _axis_profile(g: Polynomial, var: str) -> list[Fraction]:
+def _axis_profile(g: Polynomial, var: str) -> tuple[Fraction, ...]:
     """Dense coefficients, lowest degree first, of the terms of g in which no
     variable but `var` occurs: g restricted to the `var` axis.  The last entry
-    is nonzero; the zero polynomial gives the empty list."""
+    is nonzero; the zero polynomial gives the empty tuple."""
     i = g.variables.index(var)
     axis = {e[i]: c for e, c in g.terms.items() if sum(e) == e[i]}
-    return [axis.get(k, Fraction(0)) for k in range(max(axis, default=-1) + 1)]
+    return tuple(axis.get(k, Fraction(0)) for k in range(max(axis, default=-1) + 1))
 
 
 def _horner(p: list, r: Fraction) -> tuple[list, Fraction]:
@@ -461,10 +456,10 @@ def _fiber_points(
     irrational = len(active) == 1 and _has_irrational_singular_fiber_point(
         fiber, active[0]
     )
-    candidates = {v: {Fraction(0)} for v in active}
-    for v in active:
-        for g in fiber:
-            candidates[v].update(_rational_roots(_axis_profile(g, v)))
+    candidates = {  # each distinct axis profile is root-searched once
+        v: {Fraction(0)}.union(*map(_rational_roots, {_axis_profile(g, v) for g in fiber}))
+        for v in active
+    }
     if len(active) == 2:
         u, v = active
         candidates[u].update(_eliminate_variable(fiber, u, v))
@@ -509,6 +504,19 @@ def point_invariant(
         if p is None:
             raise
         return MultiOrder((1,)), None, p
+
+
+def _rendered_images(chart: WeightedChart) -> tuple[tuple[str, str], ...]:
+    """The chart map u_k -> s^{w_k}, u_j -> s^{w_j} * u_j' as sorted (u_j,
+    image) strings, each image read off the map on u_j's unit vector; an
+    image above the degree cap raises ResourceLimitError, as the map would."""
+    k, n = chart._positions[chart.chart_index], len(chart.ambient)
+    images = []
+    for v, p, w in zip(chart.center.coords, chart._positions, chart.weights):
+        image = [w if i == k else int(i == p) for i in range(n)]
+        check_degree(sum(image))
+        images.append((v, monomial_str(chart.ambient, image)))
+    return tuple(sorted(images))
 
 
 def _run_driver(
@@ -571,8 +579,9 @@ def _run_driver(
                 N, note = minimal_root(res.mord), ""
                 records = []
                 transform = controlled_transform if regular is None else strict_transform
+                aligned = res.center._aligned(ideal).generators
                 for chart in build_charts(res.center, N):
-                    T = transform(ideal, chart)
+                    T = transform(ideal, chart, aligned)
                     points, irrational = _fiber_points(T, chart)
                     irrational_hit = irrational_hit or irrational
                     tracked = []
@@ -591,9 +600,7 @@ def _run_driver(
                             coordinate=res.center.coords[chart.chart_index],
                             weights=chart.weights,
                             exceptional=chart.exceptional,
-                            substitution=tuple(
-                                (v, str(p)) for v, p in sorted(chart.substitution.items())
-                            ),
+                            substitution=_rendered_images(chart),
                             transform=T,
                             tracked=tuple(tracked),
                         )

@@ -322,23 +322,16 @@ class Polynomial:
         return sorted(self.terms.items(), key=lambda t: _display_key(t[0]))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts: list[str] = []
         for exp, coeff in self.sorted_terms():
-            mono = monomial_str(self.variables, exp)
-            c = coeff if not parts else abs(coeff)
-            if not any(exp):
-                body = str(c)
-            elif abs(c) == 1:
-                body = mono if c > 0 else f"-{mono}"
-            else:
-                body = f"{c}*{mono}"
-            if not parts:
-                parts.append(body)
-            else:
-                parts.append(("+ " if coeff > 0 else "- ") + body)
-        return " ".join(parts)
+            n, d = coeff.numerator, coeff.denominator
+            body = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+            if any(exp):
+                mono = monomial_str(self.variables, exp)
+                body = mono if body == "1" else f"{body}*{mono}"
+            sign = ("- " if n < 0 else "+ ") if parts else ("-" if n < 0 else "")
+            parts.append(sign + body)
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -47,6 +49,7 @@ from weightedres.lattice import LatticeIdeal
 from weightedres.textio import parse_center
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 
 # -- root orders ----------------------------------------------------------------
@@ -117,6 +120,14 @@ def oracle_polynomials(draw):
     return Polynomial(names, terms)
 
 
+def chart_images(chart) -> dict[str, Polynomial]:
+    """The chart as a polynomial substitution: u_k -> s^{w_k} for the chart
+    coordinate u_k, u_j -> s^{w_j} * u_j' for every other center coordinate."""
+    s = Polynomial.variable(chart.exceptional, chart.ambient)
+    primed = {v: Polynomial.variable(p, chart.ambient) for v, p in chart.primes.items()}
+    return {v: s**w * primed.get(v, s**0) for v, w in zip(chart.center.coords, chart.weights)}
+
+
 def _pullback_or_cap(pull):
     try:
         return pull()
@@ -138,18 +149,17 @@ def test_chart_pullback_matches_the_substitution(f, center, cap):
     # alignment step re-embeds its tail (which alone could meet a low cap),
     # and an all-zero f is the zero transform on both
     I = PolyIdeal(f.variables, [f])
+
+    def pull(chart):  # align, then map, both under the cap in force
+        return chart._pull_aligned(center._aligned(I).generators, 0)
+
     for chart in build_charts(center, minimal_root(center.exponents)):
-        images = chart.substitution
-        s = Polynomial.variable(chart.exceptional, chart.ambient)
-        for v, w in zip(center.coords, chart.weights):
-            prime = chart.primes.get(v)
-            unit = Polynomial.variable(prime, chart.ambient) if prime else s**0
-            assert images[v] == s**w * unit
+        images = chart_images(chart)
         with using_degree_cap(10**6):
-            top = max((g.total_degree() for g in chart._pull(I, 0).generators), default=0)
+            top = max((g.total_degree() for g in pull(chart).generators), default=0)
         for c in {cap, max(1, top - 1), max(1, top)}:
             with using_degree_cap(c):
-                new = _pullback_or_cap(lambda: chart._pull(I, 0))
+                new = _pullback_or_cap(lambda: pull(chart))
                 old = _pullback_or_cap(
                     lambda: center.change.to_aligned(I.extend_ambient(center.ambient))
                     .substitute(images, chart.ambient)
@@ -191,7 +201,7 @@ def test_one_chart_pass_matches_pull_then_divide(fs, center, cap):
             full = [
                 center.change.to_aligned(g)
                 .extend_ambient(center.ambient)
-                .substitute(chart.substitution, chart.ambient)
+                .substitute(chart_images(chart), chart.ambient)
                 for g in Z.generators
             ]
             controlled = [p.divide_by_variable_power(s, chart.N) for p in full]
@@ -504,6 +514,21 @@ def test_a_kept_transform_above_the_cap_is_still_refused(capsys):
     assert doc["steps"] == []
 
 
+def test_a_chart_image_above_the_cap_is_refused():
+    # the center (2, 3, 23) has weights (69, 46, 6) at N = 138: every kept
+    # transform is small, but the recorded image s^69 is above the default
+    # cap of 64, so the run ends capped with no step; a cap of 70 admits it
+    I = parse_ideal("x^2 + y^3 + z^23")
+    assert principalize(I).status == "resource-capped"
+    assert embedded_resolve(I, 1).status == "resource-capped"
+    assert principalize(I).steps == []
+    with using_degree_cap(70):
+        trace = principalize(I)
+        assert trace.status == "principalized"
+        assert trace.steps[0].charts[0].weights == (69, 46, 6)
+        assert embedded_resolve(I, 1).status == "resolved"
+
+
 def test_a_cap_hit_after_the_first_step_keeps_that_step(monkeypatch):
     from weightedres import blowup
 
@@ -571,6 +596,87 @@ def test_each_tracked_point_has_its_invariant_computed_once(monkeypatch, text, c
     tracked = [pt for step in trace.steps for chart in step.charts for pt in chart.tracked]
     assert isinstance(trace.status, blowup.DriverStatus)
     assert len(calls) == 1 + len(tracked)
+
+
+def _driver_cases() -> list[tuple[str, int | None, int]]:
+    """(ideal, codim or None to principalize, max steps): every driver case of
+    the CLI golden corpus, then seeded curves, surfaces and monomial ideals
+    under both drivers."""
+    cases = []
+    for entry in json.loads(GOLDEN.read_text()):
+        verb, text, *opts = entry["argv"]
+        if verb in ("principalize", "embed-resolve") and text != "0":
+            flags = dict(zip(opts[::2], opts[1::2]))
+            codim = int(flags["--codim"]) if verb == "embed-resolve" else None
+            if codim != 0:
+                cases.append((text, codim, int(flags.get("--max-steps", 10))))
+    rng = random.Random(7)
+    for _ in range(4):
+        a = rng.randint(2, 6)
+        curve = f"x^{a} - {rng.randint(2, 5)}*y^{rng.randint(a + 1, a + 5)}"
+        surface = " + ".join(f"{v}^{rng.randint(2, 5)}" for v in "xyz")
+        monomials = ", ".join(
+            "*".join(f"{v}^{rng.randint(1, 3)}" for v in rng.sample("xyz", rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        )
+        cases += [(text, codim, 10) for text in (curve, surface, monomials) for codim in (None, 1)]
+    return cases
+
+
+def _record_mismatches(trace, embedded: bool, tamper=lambda chart: chart) -> list[tuple]:
+    """(step, chart, what) wherever a driver record differs from the public
+    per-chart functions on its step's ideal: the transform, generator by
+    generator, and the rendered substitution; a divisor step's transform is
+    its ideal divided by the divisor.  `tamper` edits each rebuilt chart."""
+    transform = strict_transform if embedded else controlled_transform
+    out = []
+    for n, step in enumerate(trace.steps):
+        if step.note.startswith("divisor center"):
+            (record,) = step.charts
+            divisor = parse_polynomial(record.coordinate, step.ideal.variables)
+            quotient = [g.divide_exact(divisor) for g in step.ideal.generators]
+            quotient = PolyIdeal(divisor.variables, quotient)
+            if record.transform.generators != quotient.generators:
+                out.append((n, 0, "divisor"))
+            continue
+        charts = build_charts(step.center, step.N)
+        for record in step.charts:
+            chart = tamper(charts[record.index])
+            try:
+                expected = transform(step.ideal, chart).generators
+            except AdmissibilityError:
+                expected = None
+            if record.transform.generators != expected:
+                out.append((n, record.index, "transform"))
+            if dict(record.substitution) != {v: str(p) for v, p in chart_images(chart).items()}:
+                out.append((n, record.index, "substitution"))
+    return out
+
+
+def test_driver_records_match_the_per_chart_functions():
+    # the driver aligns a step's ideal once and reads every chart, and its
+    # recorded substitution, off the aligned exponent vectors
+    checked = 0
+    for text, codim, max_steps in _driver_cases():
+        I = parse_ideal(text)
+        if codim is None:
+            trace = principalize(I, max_steps)
+        else:
+            trace = embedded_resolve(I, codim, max_steps)
+        assert _record_mismatches(trace, codim is not None) == [], (text, codim)
+        checked += sum(len(step.charts) for step in trace.steps)
+    assert checked > 100
+
+
+@pytest.mark.parametrize("text, codim", [("x^5 + x^3*y^3 + y^7", None), ("x^3 - y^5", 1)])
+def test_the_record_check_sees_a_changed_chart_weight(text, codim):
+    def heavier(chart):
+        return dataclasses.replace(chart, weights=(chart.weights[0] + 1,) + chart.weights[1:])
+
+    I = parse_ideal(text)
+    trace = principalize(I) if codim is None else embedded_resolve(I, codim)
+    found = {what for _, _, what in _record_mismatches(trace, codim is not None, heavier)}
+    assert found == {"transform", "substitution"}
 
 
 def test_bivariate_fiber_points_include_non_axis_zeros():

@@ -13,7 +13,7 @@ from weightedres import (
     parse_polynomial,
 )
 from weightedres.errors import using_degree_cap
-from weightedres.poly import echelon
+from weightedres.poly import echelon, monomial_str
 
 VARS = ("x", "y")
 
@@ -455,6 +455,46 @@ def test_parse_round_trip():
     for text in ("x^5 + x^3*y^3 + y^7", "1/2*x^2 - 3*y", "x*y - 1"):
         f = P(text)
         assert parse_polynomial(str(f), VARS) == f
+
+
+def reference_str(f):
+    """The rendering `Polynomial.__str__` replaced: sign and magnitude by
+    `abs`, comparison and `str` on the Fraction coefficients."""
+    if not f.terms:
+        return "0"
+    parts = []
+    for exp, coeff in f.sorted_terms():
+        mono = monomial_str(f.variables, exp)
+        c = coeff if not parts else abs(coeff)
+        if not any(exp):
+            body = str(c)
+        elif abs(c) == 1:
+            body = mono if c > 0 else f"-{mono}"
+        else:
+            body = f"{c}*{mono}"
+        parts.append(body if not parts else ("+ " if coeff > 0 else "- ") + body)
+    return " ".join(parts)
+
+
+coefficients = st.one_of(
+    st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 3)]),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), coefficients, max_size=5),
+    st.one_of(st.none(), coefficients),
+)
+@example({}, None)  # the zero polynomial
+@example({(1, 0, 0): -1, (0, 2, 1): 1}, Fraction(-3, 2))  # -3/2 - x + y^2*z
+def test_str_matches_the_fraction_renderer(terms, constant):
+    if constant is not None:
+        terms = {**terms, (0, 0, 0): constant}
+    f = Polynomial(("x", "y", "z"), terms)
+    assert str(f) == reference_str(f)
+    assert parse_polynomial(str(f), f.variables) == f
 
 
 def test_juxtaposition_is_multiplication():

@@ -5,7 +5,8 @@ driver status.
 `perfbench/tracing.py` names the traced functions by module and attribute
 path, and `perfbench/workloads.py` lists the driver statuses it accepts;
 renaming or deleting one of them, adding a status, or an error at package
-import would otherwise show only as a failed benchmark run.
+import would otherwise show only as a failed benchmark run.  So would a
+mord-towers input stream that runs dry before the run's time is up.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import weightedres.cli  # noqa: F401  (loads every module the tracer patches)
 from weightedres.blowup import DriverStatus
@@ -86,3 +89,21 @@ def test_every_benchmark_workload_sets_up_runs_a_cycle_and_traces(tmp_path):
         "resolve-drivers",
         "cli-corpus",
     ]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=RuntimeError,
+    reason="ROADMAP item 1: the two mord-towers monomial families hold 276 payloads "
+    "each and repeat none, so Stream.draw raises on cycle 277",
+)
+def test_the_mord_towers_stream_lasts_600_cycles():
+    # a 30 s run at about 420 calls/s, twice the rate at which the stream
+    # runs dry, draws 600 cycles of 21 calls; only the draws, no engine call
+    workloads = _perfbench_module("workloads")
+    towers = workloads.MordTowers()
+    warm = workloads.Stream(towers, 1, "warmup").warmup()
+    stream = workloads.Stream(towers, 1, "timed", exclude={item.payload for item in warm})
+    for _ in range(600):
+        stream.next_cycle()
+    assert stream.cycles == 600
