@@ -30,7 +30,7 @@ from .errors import (
     InvalidMultiOrderError,
 )
 from .lattice import LatticeIdeal, MultiOrder, grading, witness_vectors
-from .poly import INFINITY, Exponent, Polynomial, PolyIdeal, power_product
+from .poly import INFINITY, Exponent, Polynomial, PolyIdeal, check_degree
 
 _Polys = TypeVar("_Polys", Polynomial, PolyIdeal)
 
@@ -147,9 +147,6 @@ class CenterPresentation:
     def s_count(self) -> int:
         return sum(1 for e in self.exponents if e == 1)
 
-    def s_coords(self) -> tuple[str, ...]:
-        return self.coords[: self.s_count()]
-
     def t_coords(self) -> tuple[str, ...]:
         return self.coords[self.s_count() :]
 
@@ -231,18 +228,21 @@ def is_admissible(I: PolyIdeal, center: CenterPresentation) -> bool:
 def rounding(center: CenterPresentation) -> PolyIdeal:
     """The honest monomial ideal inside the center, in original coordinates.
 
-    Generated by the weight-1 coordinates together with the staircase minimal
-    generators of the weighted block, each mapped back through the change.
+    The staircase minimal generators of the whole exponent tuple (the
+    weight-1 coordinates, then those of the weighted block) are built as
+    exponent vectors on the aligned coordinates, each within the degree cap,
+    and mapped back by one substitution of the coordinate polynomials.
     """
-    amb = center.ambient
-    coord_polys = dict(zip(center.coords, center.coordinate_polynomials()))
-    gens = [coord_polys[v] for v in center.s_coords()]
-    t_vars = center.t_coords()
-    if t_vars:
-        t_polys = [coord_polys[v] for v in t_vars]
-        for a in LatticeIdeal(center.t_exponents()).minimal_generators():
-            gens.append(power_product(t_polys, a, amb))
-    return PolyIdeal(amb, gens)
+    amb, gens = center.ambient, []
+    for a in LatticeIdeal(center.exponents).minimal_generators():
+        check_degree(sum(a))
+        on = dict(zip(center.coords, a))
+        gens.append(Polynomial(amb, {tuple(on.get(v, 0) for v in amb): 1}))
+    ideal = PolyIdeal(amb, gens)
+    if not center.change.steps:
+        return ideal
+    # not to_original: stepping back can expand past the result's degree and cap
+    return ideal.substitute(dict(zip(center.coords, center.coordinate_polynomials())))
 
 
 # -- leading term -------------------------------------------------------------

@@ -193,6 +193,12 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1 and n:
+            # one term: scale its exponent vector; the power is the largest
+            # product square-and-multiply would form, so it meets the same cap
+            ((exp, c),) = self.terms.items()
+            check_degree(n * sum(exp))
+            return Polynomial(self.variables, {tuple(n * e for e in exp): c**n})
         result = Polynomial.constant(1, self.variables)
         base = self
         while n:

@@ -287,6 +287,8 @@ def parse_center(
     change = CoordinateChange.identity(vs)
     coords: list[str] = []
     for poly, exp in entries:
+        if poly.constant_term():
+            raise ParseError(f"center coordinate {poly} does not vanish at the origin")
         # each step lives in the coordinates current after the earlier ones
         current = change.to_aligned(poly)
         lin = current.linear_part()
@@ -301,9 +303,10 @@ def parse_center(
             )
         v = candidates[0]
         c = lin[v]
-        tail_poly = current - Polynomial.variable(v, vs).scale(c)
-        if not tail_poly.is_zero() or c != 1:
-            change = change.then(AlignStep(v, c, tail_poly))
+        tail = dict(current.terms)
+        del tail[tuple(int(u == v) for u in vs)]
+        if tail or c != 1:
+            change = change.then(AlignStep(v, c, Polynomial(vs, tail)))
         coords.append(v)
     return CenterPresentation(
         vs, change, tuple(coords), MultiOrder([e for _, e in entries])

@@ -11,6 +11,7 @@ from weightedres import (
     MultiOrder,
     Polynomial,
     PolyIdeal,
+    ResourceLimitError,
     is_admissible,
     is_in_mord,
     leading_term_basis,
@@ -23,6 +24,7 @@ from weightedres import (
     witness_vectors,
 )
 from weightedres.centers import CoordinateChange, AlignStep
+from weightedres.errors import using_degree_cap
 from weightedres.textio import parse_center
 
 F = Fraction
@@ -94,6 +96,61 @@ def test_rounding_is_admissible_with_exact_monomial_values():
         d = J.t_exponents()
         for g, a in zip(R.generators, LatticeIdeal(d).minimal_generators()):
             assert nu_valuation(g, J) == sum(F(x) / e for x, e in zip(a, d))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[(x + y^2)^2, y^(7/2)]",
+        "[(2*x + y^2 - 3*z^3)^3, (y + z^2)^4, z^5]",
+        "[(x + z^2) | (y - x*z)^2, z^3]",
+        # the center multiorder returns for the paper's example
+        "(x+y*z)^4 + (y+z^3)^6 + z^9",
+    ],
+)
+def test_rounding_through_a_change_expands_the_coordinate_products(text):
+    # sympy is the oracle: generator k is the expansion of the k-th product
+    # of coordinate polynomials, s-coordinates first, then the staircase
+    sympy = pytest.importorskip("sympy")
+    if text.startswith("["):
+        J = center(text)
+    else:
+        J = multiorder(parse_ideal(text)).center
+        assert len(J.change.steps) == 2
+    assert J.change.steps
+
+    def expr(p):
+        return sympy.sympify(str(p).replace("^", "**"))
+
+    coords = [expr(p) for p in J.coordinate_polynomials()]
+    s = J.s_count()
+    products = coords[:s] + [
+        sympy.Mul(*(c**e for c, e in zip(coords[s:], a)))
+        for a in LatticeIdeal(J.t_exponents()).minimal_generators()
+    ]
+    gens = rounding(J).generators
+    assert len(gens) == len(products)
+    for g, product in zip(gens, products):
+        assert sympy.expand(expr(g) - product) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # mapped back one alignment step at a time, the generator x'^4 would
+        # expand through degree 36 before cancelling to (x + z^3)^4, of 12
+        "[(x + z^3)^4, y, (z - y^3)]",
+        "[(2*x + y^2 - 3*z^3)^3, (y + z^2)^4, z^5]",
+    ],
+)
+def test_rounding_meets_the_cap_exactly_when_a_generator_exceeds_it(text):
+    J = center(text)
+    R = rounding(J)
+    top = max(g.total_degree() for g in R.generators)
+    with using_degree_cap(top):
+        assert rounding(J) == R
+    with pytest.raises(ResourceLimitError), using_degree_cap(top - 1):
+        rounding(J)
 
 
 def test_canonical_center_of_rounding_recovers_random_integral_centers():

@@ -272,6 +272,16 @@ def test_rees_and_staircase_sizes_meet_the_degree_cap(capsys, argv, cap):
         code, out = run(capsys, "--degree-cap", cap, *argv)
         assert code == 0 and out
 
+
+def test_a_rounding_past_the_cap_names_the_degree_of_its_generator(capsys):
+    # [x^100, y^3] is [y^3, x^100] in exponent order; its generator y*x^67
+    # is the first of degree above 64
+    code, out = run(capsys, "round", "[x^100, y^3]")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error == {"code": "resource-cap", "message": "product degree 68 exceeds cap 64"}
+
+
 # -- usage errors and unwritable files -------------------------------------------
 
 
@@ -465,13 +475,30 @@ def test_tube_rejects_widths_with_unit_entries(capsys):
             "contact-alignment",
             "no polynomially alignable contact in ",
         ),
+        # a center coordinate is a local coordinate at the origin; the
+        # entry 1+x^2 is the coordinate 1 + x squared
+        *(
+            (argv, "parse-error", "center coordinate 1 + x does not vanish at the origin")
+            for argv in (
+                ["round", "[1+x^2, y^3]"],
+                ["tube", "[1+x^2, y^3]"],
+                ["rees", "[1+x^2, y^3]", "--root", "6"],
+            )
+        ),
     ],
-    ids=["embedded-divisor-point", "fractional-tube", "contact-after-step-1"],
+    ids=[
+        "embedded-divisor-point",
+        "fractional-tube",
+        "contact-after-step-1",
+        "round-off-origin",
+        "tube-off-origin",
+        "rees-off-origin",
+    ],
 )
 def test_refusals_that_no_other_case_reaches(capsys, argv, code, message):
     exit_code, out = run(capsys, *argv)
     error = json.loads(out)["error"]
-    assert exit_code == 1 and error["code"] == code
+    assert exit_code == (2 if code == "parse-error" else 1) and error["code"] == code
     assert error["message"].startswith(message)
     assert "steps" not in out
 

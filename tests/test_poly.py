@@ -294,6 +294,50 @@ def test_substitution_errors_are_unchanged():
     assert P("x").substitute({"x": P("y"), "w": P("w", ("w",))}) == P("y")
 
 
+# -- one-term powers -------------------------------------------------------------
+
+
+def reference_power(f, n):
+    """The square-and-multiply power that `Polynomial.__pow__` keeps for a
+    base of several terms, here applied to any base."""
+    result = Polynomial.constant(1, f.variables)
+    base = f
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
+@st.composite
+def one_term_bases(draw):
+    variables = XYZ[: draw(st.integers(1, 3))]
+    exp = tuple(draw(st.integers(0, 3)) for _ in variables)  # all 0: a constant
+    coeff = draw(
+        st.one_of(
+            st.sampled_from((1, -1)),
+            st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+        )
+    )
+    return Polynomial(variables, {exp: coeff})
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_term_bases(), st.integers(0, 70), st.integers(1, 200))
+@example(Polynomial(("x",), {(1,): -1}), 64, 64)
+@example(Polynomial(("x", "y"), {(2, 1): Fraction(-2, 3)}), 22, 65)
+@example(Polynomial(("x", "y"), {(0, 0): Fraction(3, 2)}), 70, 1)
+def test_a_one_term_power_is_the_square_and_multiply_power(f, n, cap):
+    got = capped(lambda: f**n, cap)
+    expected = capped(lambda: reference_power(f, n), cap)
+    if expected is ResourceLimitError:
+        assert got is ResourceLimitError
+    else:
+        assert got == expected and len(got.terms) == 1
+
+
 # -- translation ---------------------------------------------------------------
 
 

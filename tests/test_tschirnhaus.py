@@ -252,3 +252,61 @@ def test_elimination_finds_every_witness_the_pair_search_found():
             assert c[-1] != 0 and decomp[c + (0,) * (n - i)].constant_term() == 1
             assert not any(o[:i] == c[:-1] + (c[-1] - 1,) for o in decomp)
     assert pairs_needed  # the corpus exercises the pair search
+
+
+# -- every center multiorder returns is certified ----------------------------------
+
+# ROADMAP item 15(c): the witness material of these canonical centers has
+# only non-constant unit coefficients at level 1, which the constructive
+# path refuses; each center is an equal-weight block, such as [z^2, x^2]
+# for the first.  The last five are the seeded corpus's own such cases.
+KNOWN_REFUSALS = (
+    "x*z - 3*y*z^2, 3*x^4*y^3*z",
+    "x*y^4 + x^3*y^2*z^3",
+    "3*y^2*z - 1*x^2*y^2*z, 2*x^2*y^3*z^3",
+    "- 3*y^4*z^3 + 3*y*z^2 - 2*x^3*y*z^2, - 3*x^3*y^4*z^3 + 3*y^3*z^4",
+    "- 2*x^2*z + 3*x*y",
+    "2*x*y^3*z^2 + 1*y^4*z",
+    "3*x^3*y^2*z + 3*x^2*y + 2*x^3*z^4",
+)
+
+
+def _seeded_ideal(rng: random.Random) -> str:
+    """One or two generators of one to three terms in two or three variables,
+    each term of positive degree."""
+    names = "xyz"[: rng.choice((2, 3))]
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        text = ""
+        for _ in range(rng.randint(1, 3)):
+            exps = [rng.randint(0, 4) for _ in names]
+            if not any(exps):
+                exps[rng.randrange(len(names))] = rng.randint(1, 4)
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exps) if e)
+            text += f" {rng.choice('+-')} {rng.randint(1, 3)}*{mono}"
+        gens.append(text.removeprefix(" + ").strip())
+    return ", ".join(gens)
+
+
+def _certify_corpus() -> list:
+    from test_multiorder_golden import CORPUS
+
+    rng = random.Random(15)
+    texts = dict.fromkeys([*CORPUS, *(_seeded_ideal(rng) for _ in range(150)), *KNOWN_REFUSALS])
+    refused = pytest.mark.xfail(
+        strict=True, raises=CertificateError, reason="ROADMAP item 15(c): non-constant unit"
+    )
+    return [pytest.param(t, marks=refused) if t in KNOWN_REFUSALS else t for t in texts]
+
+
+@pytest.mark.parametrize("text", _certify_corpus())
+def test_every_center_multiorder_returns_is_certified(text):
+    I = parse_ideal(text)
+    try:
+        J = multiorder(I).center
+    except WeightedResError as err:
+        pytest.skip(f"multiorder refuses with {err.code}: no center to certify")
+    if J is None:
+        pytest.skip("a unit ideal has no center")
+    cert = verify_tschirnhaus(I, J) or make_tschirnhaus(I, J)
+    assert cert.presentation.exponents == J.exponents
