@@ -23,16 +23,24 @@ chart's transform and recorded substitution off those exponent vectors.
 Tracked points are chart origins plus the rational zeros of the transform on
 the exceptional divisor found by root search on each distinct axis profile;
 a singular continuation point with no rational representative stops the run
-with a typed status rather than passing.  A one-coordinate weight-one center
-cuts out a regular hypersurface, whose blowup is an isomorphism: that step
-just divides the ideal by the equation.  The start point's invariant, on the
-full ideal, dominates the cost of a run.
+with a typed status rather than passing.  The fiber is searched on integer
+coefficients: the s-free terms of each transform generator are read once
+into a primitive integer term map, and the root search, the repeated-factor
+test, the eliminants and the check of each candidate point run on those
+maps without Fraction arithmetic.  A one-coordinate weight-one center cuts
+out a regular hypersurface, whose blowup is an isomorphism: that step just
+divides the ideal by the equation, the level-1 contact of its invariant.
+The point invariants dominate the cost of a run: on the resolve-drivers
+benchmark inputs `multiorder` takes about two thirds of the call time, the
+fiber search about 5% and the shift of tracked points to the origin about
+2.5%.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -309,33 +317,16 @@ class PrincipalizationTrace:
         return len(self.steps)
 
 
-def _axis_profile(g: Polynomial, var: str) -> tuple[Fraction, ...]:
-    """Dense coefficients, lowest degree first, of the terms of g in which no
-    variable but `var` occurs: g restricted to the `var` axis.  The last entry
-    is nonzero; the zero polynomial gives the empty tuple."""
-    i = g.variables.index(var)
-    axis = {e[i]: c for e, c in g.terms.items() if sum(e) == e[i]}
-    return tuple(axis.get(k, Fraction(0)) for k in range(max(axis, default=-1) + 1))
-
-
-def _horner(p: list, r: Fraction) -> tuple[list, Fraction]:
-    """Synthetic division of the dense p by (x - r): (quotient, p(r))."""
-    values = list(itertools.accumulate(reversed(p), lambda acc, c: acc * r + c))
-    return values[-2::-1], values[-1]
-
-
-def _rational_roots(p: list[Fraction]) -> list[Fraction]:
-    """Rational roots, ascending, of the dense p; a constant has none.
-    Candidates +-a/b in lowest terms come from trial division of the integral
-    trailing and leading coefficients once the root 0 is split off, up to
-    ROOT_SEARCH_BOUND.  Each is tested in integers: b^n p(a/b) by Horner on
-    the coefficients c_(n-k) b^k, so no fraction is formed."""
+def _rational_roots(p: list[int]) -> list[Fraction]:
+    """Rational roots, ascending, of the dense integer p, lowest degree
+    first; a constant has none.  Candidates +-a/b in lowest terms come from
+    trial division of the trailing and leading coefficients once the root 0
+    is split off, up to ROOT_SEARCH_BOUND.  Each is tested in integers:
+    b^n p(a/b) by Horner on the coefficients c_(n-k) b^k."""
     if len(p) < 2:
         return []
     low = next(k for k, c in enumerate(p) if c)
-    lcm = math.lcm(*(c.denominator for c in p))
-    ints = [int(c * lcm) for c in p[low:]]
-    trailing, leading = abs(ints[0]), abs(ints[-1])
+    trailing, leading = abs(p[low]), abs(p[-1])
     if max(trailing, leading) > ROOT_SEARCH_BOUND:
         raise ResourceLimitError(
             f"rational-root search needs the divisors of {max(trailing, leading)}, "
@@ -354,7 +345,7 @@ def _rational_roots(p: list[Fraction]) -> list[Fraction]:
 
     roots = {Fraction(0)} if low else set()
     for b in divisors(leading):
-        homogenized = [c * b**k for k, c in enumerate(reversed(ints))]
+        homogenized = [c * b**k for k, c in enumerate(reversed(p[low:]))]
         for a in divisors(trailing):
             if math.gcd(a, b) > 1:
                 continue  # a/b in lowest terms is a candidate of its own
@@ -367,74 +358,121 @@ def _rational_roots(p: list[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _monic_remainder(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    """Remainder of a by b, scaled monic; dense coefficient lists, lowest
-    degree first, with a nonzero last entry (the empty list is 0)."""
-    a = list(a)
-    while len(a) >= len(b):
-        q, shift = a[-1] / b[-1], len(a) - len(b)
-        for k, c in enumerate(b):
-            a[shift + k] -= q * c
-        while a and a[-1] == 0:
-            a.pop()
-    return [c / a[-1] for c in a] if a else []
+def _primitive(p: list[int]) -> list[int]:
+    """The nonzero dense integer p divided by the gcd of its coefficients,
+    with a positive last entry."""
+    g = math.gcd(*p) if p[-1] > 0 else -math.gcd(*p)
+    return [c // g for c in p]
 
 
-def _has_irrational_singular_fiber_point(fiber: list[Polynomial], var: str) -> bool:
-    """Univariate fiber p: a repeated non-rational factor marks a singular
-    continuation point that cannot be represented over the rationals.
+def _divide_root(p: list[int], a: int, b: int) -> list[int] | None:
+    """Synthetic division of the dense integer p by b*x - a, top down: the
+    integral quotient, or None when b*x - a does not divide p."""
+    q, carry = [], 0
+    for c in reversed(p[1:]):
+        carry, rest = divmod(c + a * carry, b)
+        if rest:
+            return None
+        q.append(carry)
+    return q[::-1] if p[0] + a * carry == 0 else None
 
-    The repeated factors of p make up g = gcd(p, p'); the point is irrational
-    exactly when g keeps positive degree once its rational roots are divided
-    out.
+
+def _has_irrational_singular_fiber_point(p: list[int]) -> bool:
+    """Univariate fiber p, dense integer coefficients: a repeated
+    non-rational factor marks a singular continuation point that cannot be
+    represented over the rationals.
+
+    The repeated factors of p make up g = gcd(p, p'), taken by primitive
+    pseudo-remainders; the point is irrational exactly when g keeps positive
+    degree once its rational roots a/b are divided out, as the factors
+    b*x - a of the primitive g over the integers (Gauss's lemma).
     """
-    if len(fiber) != 1:
-        return False
-    p = _axis_profile(fiber[0], var)
-    g, b = p, [k * c for k, c in enumerate(p)][1:]
-    while b:
-        g, b = b, _monic_remainder(g, b)
+    g, h = p, [k * c for k, c in enumerate(p)][1:]
+    while h:
+        while len(g) >= len(h):
+            top, shift = g[-1], len(g) - len(h)
+            g = [h[-1] * c for c in g]
+            for k, c in enumerate(h):
+                g[shift + k] -= top * c
+            while g and not g[-1]:
+                g.pop()
+        g, h = h, _primitive(g) if g else []
+    g = _primitive(g)
     for r in _rational_roots(g):
-        q, value = _horner(g, r)
-        while value == 0:
+        while (q := _divide_root(g, r.numerator, r.denominator)) is not None:
             g = q
-            q, value = _horner(g, r)
     return len(g) > 1
 
 
-def _pseudo_remainder(f: Polynomial, g: Polynomial, v: str) -> Polynomial:
-    """Pseudo-remainder of f by g in v.  With head(h) the terms of h of top
-    v-degree, that degree lowered by deg_v g, each step f -> head(g) * f -
-    head(f) * g cancels the top v-terms of f, so deg_v f strictly drops and
-    the loop ends."""
-    i, dg = f.variables.index(v), g.degree_in(v)
+# a fiber polynomial is an integer term map: exponent vector -> int
+TermMap = dict[tuple[int, ...], int]
 
-    def head(h: Polynomial) -> Polynomial:
-        d = h.degree_in(v)
-        return Polynomial(
-            h.variables,
-            {e[:i] + (d - dg,) + e[i + 1 :]: c for e, c in h.terms.items() if e[i] == d},
-        )
 
-    lc_g = head(g)
-    while not f.is_zero() and f.degree_in(v) >= dg:
-        f = lc_g * f - head(f) * g
+def _pseudo_remainder(f: TermMap, g: TermMap, v: int) -> TermMap:
+    """Pseudo-remainder of f by g in the variable at index v, its content
+    divided out.  With head(h) the terms of h of top v-degree, that degree
+    lowered by deg_v g, each step f -> head(g) * f - head(f) * g cancels the
+    top v-terms of f, so deg_v f strictly drops and the loop ends.  The
+    degree cap sees each step's two products, as `*` on polynomials would."""
+    dg = max(e[v] for e in g)
+
+    def head(h: TermMap, d: int) -> TermMap:
+        return {e[:v] + (d - dg,) + e[v + 1 :]: c for e, c in h.items() if e[v] == d}
+
+    lc_g = head(g, dg)
+    deg_lc, deg_g = max(map(sum, lc_g)), max(map(sum, g))
+    while f and (d := max(e[v] for e in f)) >= dg:
+        top = head(f, d)
+        check_degree(deg_lc + max(map(sum, f)))
+        check_degree(max(map(sum, top)) + deg_g)
+        out: TermMap = {}
+        for a, b, sign in ((lc_g, f, 1), (top, g, -1)):
+            for ea, ca in a.items():
+                for eb, cb in b.items():
+                    e = tuple(map(operator.add, ea, eb))
+                    out[e] = out.get(e, 0) + sign * ca * cb
+        f = {e: c for e, c in out.items() if c}
+    if f:
+        content = math.gcd(*f.values())
+        f = {e: c // content for e, c in f.items()}
     return f
 
 
-def _eliminate_variable(fiber: list[Polynomial], u: str, v: str) -> list[Fraction]:
-    """Candidate u-values of common zeros: the rational roots of the first
-    pseudo-remainder sequence, over pairs of the generators containing v in
-    order of v-degree, that ends in a nonzero v-free polynomial.  That end
-    lies in the ideal of its pair, so it vanishes at every common zero.  []
-    when every pair ends in zero."""
-    with_v = sorted((g for g in fiber if v in g.support()), key=lambda p: p.degree_in(v))
+def _eliminate_variable(fiber: list[TermMap], u: int, v: int) -> list[Fraction]:
+    """Candidate values of the variable at index u at common zeros: the
+    rational roots of the first pseudo-remainder sequence, over pairs of the
+    fiber polynomials containing v in order of v-degree, that ends in a
+    nonzero v-free polynomial.  That end lies in the ideal of its pair, so
+    it vanishes at every common zero; in a two-variable fiber it is a
+    polynomial in u alone.  [] when every pair ends in zero."""
+
+    def degree(h: TermMap) -> int:
+        return max((e[v] for e in h), default=0)
+
+    with_v = sorted((h for h in fiber if degree(h)), key=degree)
     for f, g in itertools.combinations(with_v, 2):
-        while g.degree_in(v) > 0:
+        while degree(g) > 0:
             f, g = g, _pseudo_remainder(f, g, v)
-        if not g.is_zero():
-            return _rational_roots(_axis_profile(g, u))
+        if g:
+            p = [0] * (max(e[u] for e in g) + 1)
+            for e, c in g.items():
+                p[e[u]] = c
+            return _rational_roots(_primitive(p))
     return []
+
+
+def _vanishes(h: TermMap, point: list[tuple[int, Fraction]]) -> bool:
+    """h is zero at the point, given as (index, a/b) pairs for every
+    variable of h: the homogenized sum of c * a^e * b^(D - e) over the
+    terms, D the degree of h in each variable, is zero, so no fraction is
+    formed."""
+    scaled = [(i, r.numerator, r.denominator, max(e[i] for e in h)) for i, r in point]
+    total = 0
+    for e, c in h.items():
+        for i, a, b, top in scaled:
+            c *= a ** e[i] * b ** (top - e[i])
+        total += c
+    return total == 0
 
 
 def _fiber_points(
@@ -446,29 +484,51 @@ def _fiber_points(
     sorted nonzero (variable, value) pairs.  Every combination of candidate
     values is tested: each candidate set holds rational roots of a fiber
     polynomial, so the degree cap bounds it.  Returns (points,
-    irrational_flag)."""
-    s = chart.exceptional
-    fiber = list(transform.restrict(s).generators)
-    active = sorted(
-        {v for g in fiber for v in g.support() if v != s},
-        key=chart.ambient.index,
-    )
-    irrational = len(active) == 1 and _has_irrational_singular_fiber_point(
-        fiber, active[0]
-    )
+    irrational_flag).
+
+    The fiber is read once, as integer term maps: the s-free terms of each
+    generator over their common denominator, content divided out.  Distinct
+    restrictions are kept once each, zero ones dropped."""
+    s = chart.ambient.index(chart.exceptional)
+    restricted = []  # (content, denominator, primitive term map)
+    for g in transform.generators:
+        terms = [(e, c) for e, c in g.terms.items() if not e[s]]
+        if terms:
+            den = math.lcm(*(c.denominator for _, c in terms))
+            ints = {e: c.numerator * (den // c.denominator) for e, c in terms}
+            content = math.gcd(*ints.values())
+            entry = (content, den, {e: c // content for e, c in ints.items()})
+            if entry not in restricted:
+                restricted.append(entry)
+    fiber = [h for _, _, h in restricted]
+    active = sorted({i for h in fiber for e in h for i, k in enumerate(e) if k})
+    profiles: dict[int, set[tuple[int, ...]]] = {i: set() for i in active}
+    for h in fiber:
+        axes: dict[int, dict[int, int]] = {i: {} for i in active}
+        for e, c in h.items():
+            t = sum(e)
+            for i in active:
+                if e[i] == t:  # no other variable occurs
+                    axes[i][t] = c
+        for i, axis in axes.items():
+            if axis:
+                profiles[i].add(tuple(_primitive([axis.get(k, 0) for k in range(max(axis) + 1)])))
+    irrational = False
+    if len(active) == 1 and len(fiber) == 1:
+        (p,) = profiles[active[0]]  # the one fiber polynomial, in one variable
+        irrational = _has_irrational_singular_fiber_point(list(p))
     candidates = {  # each distinct axis profile is root-searched once
-        v: {Fraction(0)}.union(*map(_rational_roots, {_axis_profile(g, v) for g in fiber}))
-        for v in active
+        i: {Fraction(0)}.union(*map(_rational_roots, profiles[i])) for i in active
     }
     if len(active) == 2:
         u, v = active
         candidates[u].update(_eliminate_variable(fiber, u, v))
         candidates[v].update(_eliminate_variable(fiber, v, u))
     points = [()]
-    for combo in itertools.product(*(sorted(candidates[v]) for v in active)):
-        point = {v: r for v, r in zip(active, combo) if r != 0}
-        if point and all(h.evaluate(point) == 0 for h in fiber):
-            points.append(tuple(sorted(point.items())))
+    for combo in itertools.product(*(sorted(candidates[i]) for i in active)):
+        point = list(zip(active, combo))
+        if any(combo) and all(_vanishes(h, point) for h in fiber):
+            points.append(tuple(sorted((chart.ambient[i], r) for i, r in point if r)))
     return points, irrational
 
 
@@ -552,21 +612,24 @@ def _run_driver(
 
             irrational_hit = False
             if regular is None and mord.entries == (1,):
-                # the fallback divisor or a one-coordinate weight-one center
+                # the fallback divisor or a one-coordinate weight-one center,
+                # whose coordinate is the level-1 contact in the original
+                # variables
                 if divisor is None:
-                    divisor = res.center.coordinate_polynomials()[0]
+                    divisor = res.chain[0].contact
                 gens = [g.divide_exact(divisor) for g in ideal.generators]
                 if any(q is None for q in gens):
                     raise AdmissibilityError(f"{ideal} not divisible by the divisor {divisor}")
                 new_ideal = PolyIdeal(ideal.variables, gens)
                 N, note = 1, "divisor center: blowup is an isomorphism, ideal divided"
+                rendered = str(divisor)
                 records = [
                     ChartRecord(
                         index=0,
-                        coordinate=str(divisor),
+                        coordinate=rendered,
                         weights=(1,),
-                        exceptional=str(divisor),
-                        substitution=((str(divisor), "divided out"),),
+                        exceptional=rendered,
+                        substitution=((rendered, "divided out"),),
                         transform=new_ideal,
                         tracked=(track(new_ideal, label + "/div"),),
                     )

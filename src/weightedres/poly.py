@@ -142,10 +142,6 @@ class Polynomial:
                         occ.add(self.variables[i])
         return occ
 
-    def degree_in(self, name: str) -> int:
-        i = self.variables.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
     def min_power_of(self, name: str) -> int:
         """Largest k with name^k dividing every term (0 for the zero poly)."""
         if not self.terms:
@@ -538,25 +534,36 @@ class PolyIdeal:
 
     def translate(self, point: Mapping[str, Scalar]) -> "PolyIdeal":
         """Shift coordinates so that `point` becomes the origin: the Taylor
-        shift v -> v + a, expanding each v^k on exponent vectors into
-        sum_j C(k, j) a^(k-j) v^j, one term map per generator.  The degree
-        cap sees each term, as substituting v + a would."""
+        shift v -> v + p/q, expanding each v^k on exponent vectors into
+        q^-k sum_j C(k, j) p^(k-j) q^j v^j, one term map per generator.  The
+        sums run on integer numerators over one denominator per generator,
+        the coefficients' lcm times q^(deg_v) for each shifted v, and each
+        output term forms one Fraction.  The degree cap sees each term, as
+        substituting v + p/q would."""
         vs = self.variables
         shifts = [(vs.index(v), Fraction(a)) for v, a in point.items() if a]
         if not shifts:
             return self
-        rows, gens = {}, []  # rows[i, k]: the (j, C(k, j) a^(k-j)) for v_i^k
+        rows, gens = {}, []  # rows[i, k]: the (j, C(k, j) p^(k-j) q^j) for v_i^k
         for g in self.generators:
-            out: dict[Exponent, Fraction] = {}
+            den = math.lcm(*(c.denominator for c in g.terms.values()))
+            for i, a in shifts:
+                if a.denominator > 1:
+                    den *= a.denominator ** max(e[i] for e in g.terms)
+            out: dict[Exponent, int] = {}
             for exp, c in g.terms.items():
                 check_degree(sum(exp))
-                image = [(exp, c)]
+                part = c.denominator  # c * q^-k over den has the numerator below
+                for i, a in shifts:
+                    part *= a.denominator ** exp[i]
+                image = [(exp, c.numerator * (den // part))]
                 for i, a in shifts:
                     k = exp[i]
                     if not k:
                         continue
                     if (i, k) not in rows:
-                        rows[i, k] = [(j, math.comb(k, j) * a ** (k - j)) for j in range(k + 1)]
+                        p, q = a.numerator, a.denominator
+                        rows[i, k] = [(j, math.comb(k, j) * p ** (k - j) * q**j) for j in range(k + 1)]
                     image = [
                         (e[:i] + (j,) + e[i + 1 :], t * b)
                         for e, t in image
@@ -564,6 +571,8 @@ class PolyIdeal:
                     ]
                 for e, t in image:
                     out[e] = out.get(e, 0) + t
+            if den > 1:
+                out = {e: Fraction(t, den) for e, t in out.items()}
             gens.append(Polynomial(vs, out))
         return PolyIdeal(vs, gens)
 

@@ -8,7 +8,11 @@ so `(x+y^2)^5 + y^11` parses.  Ideals are comma-separated generator lists.
 Weight tuples read as `(4, 16/3, 32/5)`, each entry an optionally negative
 integer or `p/q`.  Centers read as `[x^5, y^(15/2)]`, with an optional
 codimension block before a pipe: `[s1, s2 | x^5, y^7]`; block entries carry
-exponent 1.  Fractional exponents must be parenthesized.
+exponent 1.  Fractional exponents must be parenthesized.  An entry's
+exponent applies to its whole base, which is one variable or one
+parenthesized group: `[(x + y^2)^5, y^11]`, while `[x + y^2, z^3]` and
+`[2*x^3, y^5]` are refused; a coordinate of exponent 1 whose terms hold a
+power is parenthesized whole: `[(x + y^2), z^3]`.
 
 All rationals serialize to JSON as strings like "16/3" (integers as "16"),
 never as floats.
@@ -228,13 +232,37 @@ def parse_multiorder(text: str) -> MultiOrder:
     return MultiOrder(parse_rational(e) for e in _entries(parts, "entry"))
 
 
+def _one_group(tokens) -> bool:
+    """The tokens are one variable or one parenthesized group."""
+    if len(tokens) == 1:
+        return tokens[0][0] == "ident"
+    depth = 0
+    for k, (kind, v) in enumerate(tokens):
+        if kind == "sym" and v in "([":
+            depth += 1
+        elif kind == "sym" and v in ")]":
+            depth -= 1
+        if depth == 0:
+            return k > 0 and k == len(tokens) - 1
+    return False
+
+
 def _center_entry(tokens) -> tuple[list, Fraction]:
     """One center entry: the base's tokens and the exponent after the last
-    top-level caret (1 without one)."""
+    top-level caret (1 without one).  The exponent applies to the whole base,
+    so a base must be one variable or one parenthesized group: `x + y^2`
+    would otherwise read as (x + y)^2."""
     parts = _split_top_level(tokens, "^")
     if len(parts) == 1:
         return tokens, Fraction(1)
     exp_tokens = parts[-1]
+    base = tokens[: -len(exp_tokens) - 1]
+    if not _one_group(base):
+        entry = "".join(v for _, v in tokens)
+        raise ParseError(
+            f"center entry {entry}: an exponent applies to one variable or "
+            "one parenthesized group"
+        )
     inner = exp_tokens
     if exp_tokens[:1] == [("sym", "(")] and exp_tokens[-1:] == [("sym", ")")]:
         inner = exp_tokens[1:-1]
@@ -253,7 +281,7 @@ def _center_entry(tokens) -> tuple[list, Fraction]:
         exp = Fraction(int(inner[0][1]), int(inner[2][1]))
     else:
         raise ParseError("bad exponent in center entry")
-    return tokens[: -len(exp_tokens) - 1], exp
+    return base, exp
 
 
 def parse_center(

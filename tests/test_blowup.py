@@ -702,6 +702,229 @@ def test_bivariate_fiber_points_include_non_axis_zeros():
 
 
 
+# -- the Fraction fiber search, kept as the reference for the integer one -----
+
+
+def _ref_axis_profile(g, var):
+    i = g.variables.index(var)
+    axis = {e[i]: c for e, c in g.terms.items() if sum(e) == e[i]}
+    return tuple(axis.get(k, F(0)) for k in range(max(axis, default=-1) + 1))
+
+
+def _ref_horner(p, r):
+    values = list(itertools.accumulate(reversed(p), lambda acc, c: acc * r + c))
+    return values[-2::-1], values[-1]
+
+
+ROOT_REFUSAL = "rational-root search needs the divisors of"
+
+
+def _ref_rational_roots(p, content_free=False):
+    if len(p) < 2:
+        return []
+    low = next(k for k, c in enumerate(p) if c)
+    lcm = math.lcm(*(c.denominator for c in p))
+    ints = [int(c * lcm) for c in p[low:]]
+    if content_free:
+        ints = [c // math.gcd(*ints) for c in ints]
+    trailing, leading = abs(ints[0]), abs(ints[-1])
+    if max(trailing, leading) > 10**12:
+        raise ResourceLimitError(f"{ROOT_REFUSAL} {max(trailing, leading)}")
+    divisors = [
+        sorted({d for i in range(1, math.isqrt(n) + 1) if n % i == 0 for d in (i, n // i)})
+        for n in (trailing, leading)
+    ]
+    roots = {F(0)} if low else set()
+    for b in divisors[1]:
+        homogenized = [c * b**k for k, c in enumerate(reversed(ints))]
+        for a in divisors[0]:
+            if math.gcd(a, b) > 1:
+                continue
+            for r in (a, -a):
+                acc = 0
+                for c in homogenized:
+                    acc = acc * r + c
+                if acc == 0:
+                    roots.add(F(r, b))
+    return sorted(roots)
+
+
+def _ref_monic_remainder(a, b):
+    a = list(a)
+    while len(a) >= len(b):
+        q, shift = a[-1] / b[-1], len(a) - len(b)
+        for k, c in enumerate(b):
+            a[shift + k] -= q * c
+        while a and a[-1] == 0:
+            a.pop()
+    return [c / a[-1] for c in a] if a else []
+
+
+def _ref_irrational(fiber, var, roots):
+    if len(fiber) != 1:
+        return False
+    p = _ref_axis_profile(fiber[0], var)
+    g, b = p, [k * c for k, c in enumerate(p)][1:]
+    while b:
+        g, b = b, _ref_monic_remainder(g, b)
+    for r in roots(g):
+        q, value = _ref_horner(g, r)
+        while value == 0:
+            g = q
+            q, value = _ref_horner(g, r)
+    return len(g) > 1
+
+
+def _ref_degree_in(g, v):
+    i = g.variables.index(v)
+    return max((e[i] for e in g.terms), default=0)
+
+
+def _ref_pseudo_remainder(f, g, v):
+    i, dg = f.variables.index(v), _ref_degree_in(g, v)
+
+    def head(h):
+        d = _ref_degree_in(h, v)
+        return Polynomial(
+            h.variables,
+            {e[:i] + (d - dg,) + e[i + 1 :]: c for e, c in h.terms.items() if e[i] == d},
+        )
+
+    lc_g = head(g)
+    while not f.is_zero() and _ref_degree_in(f, v) >= dg:
+        f = lc_g * f - head(f) * g
+    return f
+
+
+def _ref_eliminate(fiber, u, v, roots):
+    with_v = sorted((g for g in fiber if v in g.support()), key=lambda p: _ref_degree_in(p, v))
+    for f, g in itertools.combinations(with_v, 2):
+        while _ref_degree_in(g, v) > 0:
+            f, g = g, _ref_pseudo_remainder(f, g, v)
+        if not g.is_zero():
+            return roots(_ref_axis_profile(g, u))
+    return []
+
+
+def reference_fiber_points(transform, chart, content_free=False):
+    """The Fraction search; with content_free, the root search reads its
+    bound off the coefficients with their content divided out."""
+
+    def roots(p):
+        return _ref_rational_roots(p, content_free)
+
+    s = chart.exceptional
+    fiber = list(transform.restrict(s).generators)
+    active = sorted({v for g in fiber for v in g.support() if v != s}, key=chart.ambient.index)
+    irrational = len(active) == 1 and _ref_irrational(fiber, active[0], roots)
+    candidates = {
+        v: {F(0)}.union(*map(roots, {_ref_axis_profile(g, v) for g in fiber}))
+        for v in active
+    }
+    if len(active) == 2:
+        u, v = active
+        candidates[u].update(_ref_eliminate(fiber, u, v, roots))
+        candidates[v].update(_ref_eliminate(fiber, v, u, roots))
+    points = [()]
+    for combo in itertools.product(*(sorted(candidates[v]) for v in active)):
+        point = {v: r for v, r in zip(active, combo) if r != 0}
+        if point and all(h.evaluate(point) == 0 for h in fiber):
+            points.append(tuple(sorted(point.items())))
+    return points, irrational
+
+
+def _seeded_fibers(rng, amb):
+    """Transforms over amb = (s, *fiber variables) whose fibers are products
+    of rational linear factors and irreducible quadratics, some repeated,
+    with rational scalars; a second generator is sometimes a scalar multiple
+    of the first on the fiber, or shares a factor with it."""
+    s, *xs = (Polynomial.variable(v, amb) for v in amb)
+
+    def const(c):
+        return Polynomial.constant(c, amb)
+
+    def linear():
+        form = const(F(rng.randint(-4, 4), rng.randint(1, 3)))
+        for x in xs:
+            form = form + x.scale(F(rng.randint(1, 3) * rng.choice((1, -1)), rng.randint(1, 2)))
+        return form
+
+    def quadratic():
+        x = rng.choice(xs)
+        return x * x + const(rng.choice((-2, 1, 3, F(-3, 2)))) + x.scale(rng.choice((0, 1)))
+
+    def factor():
+        base = linear() if rng.random() < 0.6 else quadratic()
+        return base ** rng.choice((1, 1, 2, 3))
+
+    def product(k):
+        g = const(F(rng.randint(1, 4), rng.randint(1, 3)) * rng.choice((1, -1)))
+        for _ in range(k):
+            g = g * factor()
+        return g
+
+    def lift():
+        return s * rng.choice(xs + [const(1)]) ** rng.randint(0, 2)
+
+    first = product(rng.randint(1, 3))
+    gens = [first + lift()]
+    shape = rng.choice(("alone", "alone", "multiple", "shared", "other"))
+    if shape == "multiple":
+        gens.append(first.scale(rng.choice((2, F(-1, 3)))) + s * s)
+    elif shape == "shared":
+        gens.append(first * factor() + s * xs[-1])
+    elif shape == "other":
+        gens.append(product(rng.randint(1, 2)) + s)
+    return PolyIdeal(amb, gens)
+
+
+def test_fiber_search_agrees_with_the_fraction_reference():
+    # the same points, in the same order, and the same irrational flag as the
+    # Fraction search on seeded fibers, and the same degree-cap verdicts.  The
+    # one difference: the integer search bounds the root search by the
+    # content-free coefficients, so an eliminant whose Fraction form carries
+    # a large content is searched where the Fraction search refused it
+    from weightedres.blowup import _fiber_points
+
+    def outcome(search, *args):
+        try:
+            with using_degree_cap(cap):
+                return search(*args)
+        except ResourceLimitError as err:
+            return str(err)
+
+    rng = random.Random(32)
+    transforms = [
+        parse_ideal(text, ("s", "u", "v"))
+        for text in (
+            "u^2 + v^2 - 25, u*v - 12",
+            "(u-v)*(u+v-7), (u-v)*(u-2*v+2), u^2+v^2-25",
+            "(u-v)*(u+v-7), (u-v)*(u-2*v+2), (u-v)*(u*v-12), (u-v)*(v-3), (u-4)*(u+v-7)",
+        )
+    ]
+    transforms += [_seeded_fibers(rng, ("s", "u")) for _ in range(60)]
+    transforms += [_seeded_fibers(rng, ("s", "u", "v")) for _ in range(60)]
+    flags, found, capped, searched = set(), 0, 0, 0
+    for T in transforms:
+        chart = type("Stub", (), {"exceptional": "s", "ambient": T.variables})()
+        for cap in (6, 10, DEFAULT_DEGREE_CAP):
+            got = outcome(_fiber_points, T, chart)
+            expected = outcome(reference_fiber_points, T, chart)
+            if str(expected).startswith(ROOT_REFUSAL) and not isinstance(got, str):
+                expected = outcome(reference_fiber_points, T, chart, True)
+                searched += 1
+            if isinstance(expected, str):
+                if expected.startswith(ROOT_REFUSAL):  # the numbers may differ
+                    expected, got = ROOT_REFUSAL, got[: len(ROOT_REFUSAL)]
+                assert got == expected, (T, cap)
+                capped += 1
+            else:
+                assert got == expected, (T, cap)
+                flags.add(got[1])
+                found += len(got[0]) - 1
+    assert flags == {True, False} and found > 100 and capped > 10 and searched > 0
+
+
 def test_univariate_fiber_points_are_every_rational_root():
     # a one-active-variable fiber, the product of k distinct rational linear
     # factors: the chart origin and exactly the k nonzero roots, however many
@@ -735,6 +958,30 @@ def test_every_line_of_an_eight_line_product_is_visited():
         assert all(len(c) == 1 and c[0][1] != 0 for c in coords[1:])
     assert invariant_drop_check(trace)
 
+def integer_coefficients(coeffs) -> list[int]:
+    """Dense rational coefficients over their common denominator, content
+    divided out: the integer form the fiber search works on."""
+    den = math.lcm(*(F(c).denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    content = math.gcd(*ints)
+    return [c // content for c in ints]
+
+
+def dense(g: Polynomial, var: str) -> list[Fraction]:
+    """The coefficients, lowest degree first, of g in the one variable var."""
+    i = g.variables.index(var)
+    out = [F(0)] * (max(e[i] for e in g.terms) + 1)
+    for e, c in g.terms.items():
+        out[e[i]] = c
+    return out
+
+
+def term_map(g: Polynomial) -> dict:
+    """g's terms over their common denominator, content divided out."""
+    ints = integer_coefficients(list(g.terms.values()))
+    return dict(zip(g.terms, ints))
+
+
 def test_irrational_singular_fiber_point_needs_a_repeated_irrational_factor():
     from weightedres.blowup import _has_irrational_singular_fiber_point
 
@@ -747,20 +994,17 @@ def test_irrational_singular_fiber_point_needs_a_repeated_irrational_factor():
         "(2*u - 1)^4*(u + 5)^2": False,
     }
     for text, expected in cases.items():
-        fiber = [parse_polynomial(text, ("s", "u"))]
-        assert _has_irrational_singular_fiber_point(fiber, "u") is expected, text
+        p = integer_coefficients(dense(parse_polynomial(text, ("s", "u")), "u"))
+        assert _has_irrational_singular_fiber_point(p) is expected, text
 
 
 def test_rational_root_search_refuses_huge_coefficients():
     from weightedres.blowup import ROOT_SEARCH_BOUND, _rational_roots
     from weightedres.errors import ResourceLimitError
 
-    assert _rational_roots([F(-ROOT_SEARCH_BOUND), F(0), F(1)]) == [
-        F(-(10**6)),
-        F(10**6),
-    ]
+    assert _rational_roots([-ROOT_SEARCH_BOUND, 0, 1]) == [F(-(10**6)), F(10**6)]
     with pytest.raises(ResourceLimitError):
-        _rational_roots([F(-(ROOT_SEARCH_BOUND + 1)), F(0), F(0), F(1)])
+        _rational_roots([-(ROOT_SEARCH_BOUND + 1), 0, 0, 1])
 
 
 def test_root_search_agrees_with_a_fraction_horner_reference():
@@ -802,7 +1046,7 @@ def test_root_search_agrees_with_a_fraction_horner_reference():
                 p = [F(0), *p]  # (b*u - a) * p, with a shared factor or not
                 p = [b * p[k] - a * (p[k + 1] if k + 1 < len(p) else 0) for k in range(len(p))]
             p = [F(0)] * rng.randint(0, 1) + [c * F(rng.randint(1, 3), 7) for c in p]
-        roots = _rational_roots(p)
+        roots = _rational_roots(integer_coefficients(p))
         assert roots == reference(p), p
         found += len(roots)
     assert found > 10
@@ -830,11 +1074,10 @@ def test_root_search_agrees_with_sympy():
             factors.append(f ** rng.randint(1, 3))
         scalar = sympy.Rational(rng.randint(1, 4), rng.randint(1, 4))
         P = sympy.Poly(scalar * sympy.Mul(*factors), u, domain="QQ")
-        dense = [F(int(c.p), int(c.q)) for c in reversed(P.all_coeffs())]
-        assert _rational_roots(dense) == sorted(F(int(r.p), int(r.q)) for r in P.ground_roots())
-        fiber = [Polynomial(("s", "u"), {(0, k): c for k, c in enumerate(dense)})]
+        p = integer_coefficients([F(int(c.p), int(c.q)) for c in reversed(P.all_coeffs())])
+        assert _rational_roots(p) == sorted(F(int(r.p), int(r.q)) for r in P.ground_roots())
         expected = any(g.degree() >= 2 and m >= 2 for g, m in P.factor_list()[1])
-        assert _has_irrational_singular_fiber_point(fiber, "u") is expected, P
+        assert _has_irrational_singular_fiber_point(p) is expected, P
         verdicts.add(expected)
     assert verdicts == {True, False}
 
@@ -850,6 +1093,28 @@ def test_divisor_fallback_for_unalignable_regular_points():
     assert invariant_drop_check(trace)
 
 
+def test_a_divisor_step_divides_by_its_center_coordinate():
+    # the driver takes a divisor step's divisor from the level-1 contact, not
+    # from the center's inverse alignment; the two are the same polynomial
+    checked = 0
+    for text, codim, max_steps in _driver_cases():
+        I = parse_ideal(text)
+        if codim is None:
+            trace = principalize(I, max_steps)
+        else:
+            trace = embedded_resolve(I, codim, max_steps)
+        for step in trace.steps:
+            if step.note.startswith("divisor center") and step.center is not None:
+                divisor = step.center.coordinate_polynomials()[0]
+                (record,) = step.charts
+                assert record.coordinate == record.exceptional == str(divisor), text
+                assert record.substitution == ((str(divisor), "divided out"),)
+                quotient = [g.divide_exact(divisor) for g in step.ideal.generators]
+                assert record.transform.generators == PolyIdeal(divisor.variables, quotient).generators
+                checked += 1
+    assert checked > 10
+
+
 def test_fiber_elimination_gives_up_under_a_small_degree_cap():
     amb = ("x", "y")
     fiber = [
@@ -859,7 +1124,7 @@ def test_fiber_elimination_gives_up_under_a_small_degree_cap():
     # the pseudo-remainder sequence needs degree 8: the cap hit propagates,
     # so the driver ends the run resource-capped instead of dropping points
     with using_degree_cap(6), pytest.raises(ResourceLimitError):
-        _eliminate_variable(fiber, "x", "y")
+        _eliminate_variable([term_map(g) for g in fiber], 0, 1)
 
 
 def test_irrational_singular_point_is_a_typed_status():

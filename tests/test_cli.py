@@ -476,13 +476,25 @@ def test_tube_rejects_widths_with_unit_entries(capsys):
             "no polynomially alignable contact in ",
         ),
         # a center coordinate is a local coordinate at the origin; the
-        # entry 1+x^2 is the coordinate 1 + x squared
+        # entry (1+x)^2 is the coordinate 1 + x squared
         *(
             (argv, "parse-error", "center coordinate 1 + x does not vanish at the origin")
             for argv in (
-                ["round", "[1+x^2, y^3]"],
-                ["tube", "[1+x^2, y^3]"],
-                ["rees", "[1+x^2, y^3]", "--root", "6"],
+                ["round", "[(1+x)^2, y^3]"],
+                ["tube", "[(1+x)^2, y^3]"],
+                ["rees", "[(1+x)^2, y^3]", "--root", "6"],
+            )
+        ),
+        # an exponent applies to one variable or one parenthesized group, so
+        # a sum or a product before a caret is refused, not read as a power
+        # of the whole entry
+        *(
+            (argv, "parse-error", f"center entry {entry}: an exponent applies to one")
+            for argv, entry in (
+                (["round", "[x + y^2, z^3]"], "x+y^2"),
+                (["tube", "[x + y^2, z^3]"], "x+y^2"),
+                (["round", "[2*x^3, y^5]"], "2*x^3"),
+                (["round", "[1+x^2, y^3]"], "1+x^2"),
             )
         ),
     ],
@@ -493,6 +505,10 @@ def test_tube_rejects_widths_with_unit_entries(capsys):
         "round-off-origin",
         "tube-off-origin",
         "rees-off-origin",
+        "round-sum-before-caret",
+        "tube-sum-before-caret",
+        "round-product-before-caret",
+        "round-unit-sum-before-caret",
     ],
 )
 def test_refusals_that_no_other_case_reaches(capsys, argv, code, message):
