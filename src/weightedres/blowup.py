@@ -54,7 +54,7 @@ from .errors import (
 )
 from .invariant import InvariantResult, multiorder
 from .lattice import LT, LatticeIdeal, MultiOrder, grading, is_in_mord, mord_compare
-from .poly import Polynomial, PolyIdeal, check_degree, fresh_name, monomial_str
+from .poly import Polynomial, PolyIdeal, check_degree, fresh_name, int_str, monomial_str
 
 # largest integral leading or trailing coefficient whose divisors the
 # rational-root search enumerates (about 10^6 trial divisions each)
@@ -329,7 +329,7 @@ def _rational_roots(p: list[int]) -> list[Fraction]:
     trailing, leading = abs(p[low]), abs(p[-1])
     if max(trailing, leading) > ROOT_SEARCH_BOUND:
         raise ResourceLimitError(
-            f"rational-root search needs the divisors of {max(trailing, leading)}, "
+            f"rational-root search needs the divisors of {int_str(max(trailing, leading))}, "
             f"above the bound {ROOT_SEARCH_BOUND}"
         )
 

@@ -47,7 +47,7 @@ class MultiOrder:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[Rat]):
-        es = tuple(Fraction(e) for e in entries)
+        es = tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
         if es == (Fraction(0),):
             pass  # the zero invariant
         else:

@@ -46,6 +46,17 @@ def monomial_str(names, exponents) -> str:
     return "*".join(parts) or "1"
 
 
+def int_str(n: int) -> str:
+    """str(n); past the interpreter's int/str digit limit, a ResourceLimitError
+    naming the digit count, found without converting n."""
+    try:
+        return str(n)
+    except ValueError:
+        k = int(abs(n).bit_length() * math.log10(2))  # the count or one less
+        digits = k + (abs(n) >= 10**k)
+        raise ResourceLimitError(f"a coefficient of {digits} digits is too long to print") from None
+
+
 class Polynomial:
     """A sparse polynomial over Q with named variables."""
 
@@ -327,7 +338,7 @@ class Polynomial:
         parts: list[str] = []
         for exp, coeff in self.sorted_terms():
             n, d = coeff.numerator, coeff.denominator
-            body = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+            body = int_str(abs(n)) if d == 1 else f"{int_str(abs(n))}/{int_str(d)}"
             if any(exp):
                 mono = monomial_str(self.variables, exp)
                 body = mono if body == "1" else f"{body}*{mono}"

@@ -4,6 +4,9 @@ Polynomial grammar: identifiers are variables, `^` raises to integer powers,
 `*` between factors is optional, `+`/`-` separate terms, and coefficients
 are ASCII integers or rationals `p/q`.  Subexpressions may be parenthesized,
 so `(x+y^2)^5 + y^11` parses.  Ideals are comma-separated generator lists.
+Parsing builds term maps (exponent tuple -> coefficient) and a Polynomial
+only from a whole generator or center entry.  A numeral past the
+interpreter's int/str digit limit (4300 digits by default) is a ParseError.
 
 Weight tuples read as `(4, 16/3, 32/5)`, each entry an optionally negative
 integer or `p/q`.  Centers read as `[x^5, y^(15/2)]`, with an optional
@@ -15,177 +18,185 @@ parenthesized group: `[(x + y^2)^5, y^11]`, while `[x + y^2, z^3]` and
 power is parenthesized whole: `[(x + y^2), z^3]`.
 
 All rationals serialize to JSON as strings like "16/3" (integers as "16"),
-never as floats.
+never as floats; a number too long to print is a ResourceLimitError.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from operator import add
 from typing import Iterable
 
 from .centers import AlignStep, CenterPresentation, CoordinateChange
 from .errors import ParseError
 from .lattice import MultiOrder
-from .poly import Polynomial, PolyIdeal, monomial_str
+from .poly import Polynomial, PolyIdeal, check_degree, int_str, monomial_str
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[-+*^()/,\[\]|]))"
 )
+_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/(0*[1-9][0-9]*))?")  # q is nonzero
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
-        pos = m.end()
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident")))
-        else:
-            tokens.append(("sym", m.group("sym")))
+    tokens, pos = [], 0
+    for m in _TOKEN.finditer(text):
+        if m.start() != pos:
+            break
+        pos, kind = m.end(), m.lastgroup
+        tokens.append((kind, m[kind]))
+    if text[pos:].strip():
+        raise ParseError(f"unexpected character {text[pos]!r} at position {pos}")
     return tokens
 
 
+def _numeral(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int/str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"a numeral of {len(digits)} digits exceeds the limit of {limit}") from None
+
+
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], variables: tuple[str, ...]):
-        self.tokens = tokens
-        self.pos = 0
-        self.variables = variables
+    """Recursive descent into term maps, exponent tuple -> int or Fraction
+    coefficient with no zero stored.  Sums, products and powers keep the
+    term order and the `check_degree` calls of the Polynomial operators."""
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
+    def __init__(self, variables: tuple[str, ...]):
+        self.zero = zero = (0,) * len(variables)
+        self.units: dict[str, tuple[int, ...]] = {}
+        for i, v in enumerate(variables):
+            self.units.setdefault(v, zero[:i] + (1,) + zero[i + 1 :])
 
-    def take(self, kind=None, value=None):
-        k, v = self.peek()
-        if k is None:
-            raise ParseError("unexpected end of input")
-        if kind is not None and k != kind:
-            raise ParseError(f"expected {kind}, found {v!r}")
-        if value is not None and v != value:
-            raise ParseError(f"expected {value!r}, found {v!r}")
-        self.pos += 1
-        return v
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+    def read(self, tokens: list, trailing: str) -> dict:
+        """The term map of all of `tokens`; `trailing` names leftover input."""
+        self.tokens, self.pos = tokens + [(None, None)], 0
+        terms = self.expr()
+        if self.pos < len(tokens):
+            raise ParseError(trailing.format(tokens[self.pos][1]))
+        return terms
 
     # expr := ['-'] term (('+'|'-') term)*
-    def expr(self) -> Polynomial:
-        k, v = self.peek()
-        negate = False
-        if (k, v) == ("sym", "-"):
-            self.take()
-            negate = True
-        result = self.term()
+    def expr(self) -> dict:
+        negate = self.tokens[self.pos][1] == "-"
+        self.pos += negate
+        terms = self.term()  # no term map is shared, so sums run in place
         if negate:
-            result = -result
-        while True:
-            k, v = self.peek()
-            if (k, v) == ("sym", "+"):
-                self.take()
-                result = result + self.term()
-            elif (k, v) == ("sym", "-"):
-                self.take()
-                result = result - self.term()
-            else:
-                return result
+            terms = {e: -c for e, c in terms.items()}
+        while (op := self.tokens[self.pos][1]) == "+" or op == "-":
+            self.pos += 1
+            for e, c in self.term().items():
+                c = terms.get(e, 0) + (c if op == "+" else -c)
+                if c:
+                    terms[e] = c
+                else:
+                    del terms[e]
+        return terms
 
     # term := factor ('*'? factor)*
-    def term(self) -> Polynomial:
-        result = self.factor()
+    def term(self) -> dict:
+        terms = self.factor()
         while True:
-            k, v = self.peek()
-            if (k, v) == ("sym", "*"):
-                self.take()
-                result = result * self.factor()
-            elif k in ("num", "ident") or (k, v) == ("sym", "("):
-                result = result * self.factor()
-            else:
-                return result
+            k, v = self.tokens[self.pos]
+            if v == "*":
+                self.pos += 1
+            elif k not in ("num", "ident") and v != "(":
+                return terms
+            terms = _mul(terms, self.factor())
 
     # factor := atom ['^' int]
-    def factor(self) -> Polynomial:
+    def factor(self) -> dict:
         base = self.atom()
-        k, v = self.peek()
-        if (k, v) == ("sym", "^"):
-            self.take()
-            e = self.integer_exponent()
-            return base**e
-        return base
+        if self.tokens[self.pos][1] != "^":
+            return base
+        k, v = self.tokens[self.pos + 1]
+        if k != "num":
+            raise ParseError(
+                f"expected an integer exponent, found {v!r}" if k else "unexpected end of input"
+            )
+        self.pos += 2
+        n = _numeral(v)
+        if len(base) == 1 and n:
+            # one term: scale its exponent vector, as `Polynomial.__pow__` does
+            ((exp, c),) = base.items()
+            check_degree(n * sum(exp))
+            return {tuple(n * e for e in exp): c**n}
+        terms = {self.zero: 1}
+        while n:
+            if n & 1:
+                terms = _mul(terms, base)
+            n >>= 1
+            if n:
+                base = _mul(base, base)
+        return terms
 
-    def integer_exponent(self) -> int:
-        k, v = self.peek()
+    def atom(self) -> dict:
+        k, v = self.tokens[self.pos]
+        self.pos += 1
         if k == "num":
-            self.take()
-            return int(v)
-        raise ParseError(
-            f"expected an integer exponent, found {v!r}" if k else "unexpected end of input"
-        )
-
-    def atom(self) -> Polynomial:
-        k, v = self.peek()
-        if k == "num":
-            self.take()
-            value = Fraction(int(v))
-            k2, v2 = self.peek()
-            if (k2, v2) == ("sym", "/"):
-                self.take()
-                den = int(self.take("num"))
-                if den == 0:
+            c = _numeral(v)
+            if self.tokens[self.pos][1] == "/":
+                k, v = self.tokens[self.pos + 1]
+                if k != "num":
+                    raise ParseError(f"expected num, found {v!r}" if k else "unexpected end of input")
+                self.pos += 2
+                if not (d := _numeral(v)):
                     raise ParseError("division by zero in a coefficient")
-                value = value / den
-            return Polynomial.constant(value, self.variables)
+                c = Fraction(c, d)
+            return {self.zero: c} if c else {}
         if k == "ident":
-            self.take()
-            if v not in self.variables:
+            if v not in self.units:
                 raise ParseError(f"unknown variable {v!r}")
-            return Polynomial.variable(v, self.variables)
-        if (k, v) == ("sym", "("):
-            self.take()
-            inner = self.expr()
-            self.take("sym", ")")
-            return inner
+            return {self.units[v]: 1}
+        if v == "(":
+            terms = self.expr()
+            k, v = self.tokens[self.pos]
+            if v != ")":  # a num or an ident would have joined the last term
+                raise ParseError(f"expected ')', found {v!r}" if k else "unexpected end of input")
+            self.pos += 1
+            return terms
         raise ParseError(f"unexpected token {v!r}" if k else "unexpected end of input")
 
 
+def _mul(a: dict, b: dict) -> dict:
+    """The product of two term maps, checked and summed as `Polynomial.__mul__`."""
+    if not a or not b:
+        return {}
+    check_degree(max(map(sum, a)) + max(map(sum, b)))
+    terms: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
 def _collect_variables(tokens) -> tuple[str, ...]:
-    seen: list[str] = []
-    for k, v in tokens:
-        if k == "ident" and v not in seen:
-            seen.append(v)
-    return tuple(seen)
+    return tuple(dict.fromkeys(v for k, v in tokens if k == "ident"))
 
 
 def parse_polynomial(text: str, variables: Iterable[str] | None = None) -> Polynomial:
     tokens = _tokenize(text)
     vs = tuple(variables) if variables is not None else _collect_variables(tokens)
-    parser = _Parser(tokens, vs)
-    result = parser.expr()
-    if not parser.at_end():
-        raise ParseError(f"trailing input from token {parser.peek()[1]!r}")
-    return result
+    return Polynomial(vs, _Parser(vs).read(tokens, "trailing input from token {!r}"))
 
 
 def _split_top_level(tokens, separator: str) -> list[list]:
     parts: list[list] = [[]]
     depth = 0
     for tok in tokens:
-        k, v = tok
-        if k == "sym" and v in "([":
+        v = tok[1]  # only a symbol token holds a bracket or a separator
+        if v in "([":
             depth += 1
-        elif k == "sym" and v in ")]":
+        elif v in ")]":
             depth -= 1
-        if k == "sym" and v == separator and depth == 0:
+        elif v == separator and not depth:
             parts.append([])
-        else:
-            parts[-1].append(tok)
+            continue
+        parts[-1].append(tok)
     return parts
 
 
@@ -199,27 +210,28 @@ def _entries(parts: list, what: str):
 
 def parse_ideal(text: str, variables: Iterable[str] | None = None) -> PolyIdeal:
     tokens = _tokenize(text)
+    vs = tuple(variables) if variables is not None else _collect_variables(tokens)
+    chunks = _split_top_level(tokens, ",")
     if tokens and tokens[0] == ("sym", "(") and tokens[-1] == ("sym", ")"):
         # allow an ideal wrapped in parentheses: (f, g, h)
-        inner = tokens[1:-1]
-        if len(_split_top_level(inner, ",")) > 1:
-            tokens = inner
-    vs = tuple(variables) if variables is not None else _collect_variables(tokens)
-    gens = []
-    for chunk in _entries(_split_top_level(tokens, ","), "generator"):
-        parser = _Parser(chunk, vs)
-        gens.append(parser.expr())
-        if not parser.at_end():
-            raise ParseError("trailing input in a generator")
-    return PolyIdeal(vs, gens)
+        inner = _split_top_level(tokens[1:-1], ",")
+        if len(inner) > 1:
+            chunks = inner
+    parser = _Parser(vs)
+    return PolyIdeal(vs, [
+        Polynomial(vs, parser.read(chunk, "trailing input in a generator"))
+        for chunk in _entries(chunks, "generator")
+    ])
 
 
 def parse_rational(text: str) -> Fraction:
     """An optionally negative integer or `p/q`, as in a weight tuple."""
-    s = text.strip()
-    if re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", s) is None:  # q is nonzero
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is None:
         raise ParseError(f"bad rational {text!r}")
-    return Fraction(s)
+    sign, p, q = m.groups()
+    p = -_numeral(p) if sign else _numeral(p)
+    return Fraction(p, _numeral(q)) if q else Fraction(p)
 
 
 def parse_multiorder(text: str) -> MultiOrder:
@@ -229,7 +241,7 @@ def parse_multiorder(text: str) -> MultiOrder:
         if not s.strip():
             return MultiOrder(())
     parts = [part.strip() for part in s.split(",")]
-    return MultiOrder(parse_rational(e) for e in _entries(parts, "entry"))
+    return MultiOrder([parse_rational(e) for e in _entries(parts, "entry")])
 
 
 def _one_group(tokens) -> bool:
@@ -269,24 +281,17 @@ def _center_entry(tokens) -> tuple[list, Fraction]:
     elif ("sym", "/") in exp_tokens:
         raise ParseError("fractional exponents must be parenthesized")
     if len(inner) == 1 and inner[0][0] == "num":
-        exp = Fraction(int(inner[0][1]))
-    elif (
-        len(inner) == 3
-        and inner[0][0] == "num"
-        and inner[1] == ("sym", "/")
-        and inner[2][0] == "num"
-    ):
-        if int(inner[2][1]) == 0:
+        exp = Fraction(_numeral(inner[0][1]))
+    elif len(inner) == 3 and inner[0][0] == inner[2][0] == "num" and inner[1][1] == "/":
+        if not (q := _numeral(inner[2][1])):
             raise ParseError("zero denominator in a center exponent")
-        exp = Fraction(int(inner[0][1]), int(inner[2][1]))
+        exp = Fraction(_numeral(inner[0][1]), q)
     else:
         raise ParseError("bad exponent in center entry")
     return base, exp
 
 
-def parse_center(
-    text: str, variables: Iterable[str] | None = None
-) -> CenterPresentation:
+def parse_center(text: str, variables: Iterable[str] | None = None) -> CenterPresentation:
     s = text.strip()
     if not (s.startswith("[") and s.endswith("]")):
         raise ParseError("a center is written in brackets: [x^5, y^(15/2)]")
@@ -304,48 +309,43 @@ def parse_center(
                 raise ParseError("entries before the pipe carry exponent 1")
             raw_entries.append((base, exp))
     vs = tuple(variables) if variables is not None else _collect_variables(tokens)
-    entries = []
-    for base, exp in raw_entries:
-        parser = _Parser(base, vs)
-        poly = parser.expr()
-        if not parser.at_end():
-            raise ParseError("trailing input in a center entry")
-        entries.append((poly, exp))
-    entries.sort(key=lambda t: t[1])
+    parser = _Parser(vs)
+    entries = sorted(
+        [(parser.read(base, "trailing input in a center entry"), exp) for base, exp in raw_entries],
+        key=lambda t: t[1],
+    )
     change = CoordinateChange.identity(vs)
     coords: list[str] = []
-    for poly, exp in entries:
-        if poly.constant_term():
+    for entry, _ in entries:
+        if parser.zero in entry:
+            poly = Polynomial(vs, entry)
             raise ParseError(f"center coordinate {poly} does not vanish at the origin")
         # each step lives in the coordinates current after the earlier ones
-        current = change.to_aligned(poly)
-        lin = current.linear_part()
-        candidates = [
-            v
-            for v in vs
-            if v in lin and v not in current.nonlinear_support() and v not in coords
-        ]
-        if not candidates:
-            raise ParseError(
-                f"center coordinate {poly} cannot be aligned to a free variable"
-            )
-        v = candidates[0]
-        c = lin[v]
-        tail = dict(current.terms)
-        del tail[tuple(int(u == v) for u in vs)]
-        if tail or c != 1:
-            change = change.then(AlignStep(v, c, Polynomial(vs, tail)))
+        terms = change.to_aligned(Polynomial(vs, entry)).terms if change.steps else entry
+        lin, nonlinear = {}, set()
+        for e, c in terms.items():
+            if (d := sum(e)) == 1:
+                lin[vs[e.index(1)]] = c
+            elif d:
+                nonlinear.update(v for v, k in zip(vs, e) if k)
+        v = next((v for v in vs if v in lin and v not in nonlinear and v not in coords), None)
+        if v is None:
+            poly = Polynomial(vs, entry)
+            raise ParseError(f"center coordinate {poly} cannot be aligned to a free variable")
+        tail = {e: c for e, c in terms.items() if e != parser.units[v]}
+        if tail or lin[v] != 1:
+            change = change.then(AlignStep(v, Fraction(lin[v]), Polynomial(vs, tail)))
         coords.append(v)
-    return CenterPresentation(
-        vs, change, tuple(coords), MultiOrder([e for _, e in entries])
-    )
+    return CenterPresentation(vs, change, tuple(coords), MultiOrder([e for _, e in entries]))
 
 
 # -- JSON encoders -------------------------------------------------------------
 
 
 def frac_str(x) -> str:
-    return str(Fraction(x))
+    x = Fraction(x)
+    n, d = int_str(x.numerator), x.denominator
+    return n if d == 1 else f"{n}/{int_str(d)}"
 
 
 def multiorder_json(d: MultiOrder) -> list[str]:

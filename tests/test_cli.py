@@ -23,6 +23,12 @@ from weightedres.textio import (
 )
 
 
+# numerals past the interpreter's int/str digit limit (4300 digits by
+# default), and one whose square is
+LONG = "9" * 5000
+SEVENS = "7" * 3000
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -497,6 +503,24 @@ def test_tube_rejects_widths_with_unit_entries(capsys):
                 (["round", "[1+x^2, y^3]"], "1+x^2"),
             )
         ),
+        # an input numeral past the digit limit is a parse error, and a
+        # coefficient too long to print is a resource cap, not a traceback
+        *(
+            (argv, "parse-error", "a numeral of 5000 digits exceeds the limit of ")
+            for argv in (
+                ["mord", f"{LONG}*x"],
+                ["mord", f"x^{LONG}"],
+                ["tube", f"(5,{LONG})"],
+                ["staircase", f"(5,{LONG})"],
+            )
+        ),
+        *(
+            (argv, "resource-cap", "a coefficient of 6000 digits is too long to print")
+            for argv in (
+                ["round", f"[(x + {SEVENS}*y^2)^2, y^5]"],
+                ["principalize", f"(x + {SEVENS}*y^2)^2 + y^5"],
+            )
+        ),
     ],
     ids=[
         "embedded-divisor-point",
@@ -509,14 +533,31 @@ def test_tube_rejects_widths_with_unit_entries(capsys):
         "tube-sum-before-caret",
         "round-product-before-caret",
         "round-unit-sum-before-caret",
+        "mord-long-coefficient",
+        "mord-long-exponent",
+        "tube-long-width",
+        "staircase-long-width",
+        "round-unprintable-coefficient",
+        "principalize-unprintable-coefficient",
     ],
 )
 def test_refusals_that_no_other_case_reaches(capsys, argv, code, message):
     exit_code, out = run(capsys, *argv)
     error = json.loads(out)["error"]
-    assert exit_code == (2 if code == "parse-error" else 1) and error["code"] == code
+    assert exit_code == (2 if code in ("parse-error", "resource-cap") else 1)
+    assert error["code"] == code
     assert error["message"].startswith(message)
     assert "steps" not in out
+
+
+def test_a_long_root_search_coefficient_caps_the_driver_like_a_short_one(capsys):
+    # the fiber's root search refuses coefficients above 10^12, and the
+    # driver reports that refusal as its status; a coefficient too long to
+    # print in the refusal's message ends the run the same way
+    for c in ("77777777777777", SEVENS):
+        code, out = run(capsys, "principalize", f"(x - {c}*y)*(x + y)")
+        assert code == 0
+        assert json.loads(out) == {"status": "resource-capped", "mode": "principalize", "steps": []}
 
 
 def test_a_center_that_needs_a_shear_prints_no_certificate(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from weightedres import (
     rounding,
 )
 from weightedres.invariant import _merge_dominated
-from weightedres.lattice import GT
+from weightedres.lattice import GT, LatticeIdeal
 
 F = Fraction
 
@@ -279,3 +280,33 @@ def _random_triangular(rng, names):
                 img = img + Polynomial(names, {tuple(exp): rng.choice([1, -1, 2])})
         images[v] = img
     return images
+
+
+# -- the invariant set on a grid -------------------------------------------------
+
+
+def test_a_tuple_is_an_invariant_exactly_when_its_lattice_ideal_returns_it():
+    """ROADMAP item 14(a).  I_d is the monomial ideal on the minimal
+    generators of d's lattice ideal.  The witness walk (`is_in_mord`) and the
+    derivative recursion (`multiorder`) must agree: d is an invariant exactly
+    when mord(I_d) = d, and otherwise mord(I_d) is an invariant r above d
+    whose center contains I_d, so that I_d lies in I_r.  The grid: n = 1..3,
+    weakly increasing entries p/q with p <= 7, q <= 3 and p/q >= 1."""
+    values = sorted({F(p, q) for q in (1, 2, 3) for p in range(q, 8)})
+    members = outside = 0
+    for n in (1, 2, 3):
+        names = ("x", "y", "z")[:n]
+        for entries in itertools.combinations_with_replacement(values, n):
+            d = MultiOrder(entries)
+            gens = LatticeIdeal(d).minimal_generators()
+            I_d = PolyIdeal(names, [Polynomial(names, {a: 1}) for a in gens])
+            result = multiorder(I_d)
+            if is_in_mord(d):
+                members += 1
+                assert result.mord == d, d
+            else:
+                outside += 1
+                r = result.mord
+                assert is_in_mord(r) and mord_compare(r, d) == GT, (d, r)
+                assert is_admissible(I_d, result.center), (d, r)
+    assert (members, outside) == (119, 440)
