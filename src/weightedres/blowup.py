@@ -41,9 +41,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 from .centers import CenterPresentation
 from .errors import (
     AdmissibilityError,
@@ -101,8 +101,7 @@ def rees_generators(
     return out
 
 
-@dataclass(frozen=True)
-class WeightedChart:
+class WeightedChart(NamedTuple):
     """One affine chart of the stacky root blowup of a center.
 
     The chart keeps every ambient position: the chart coordinate's position
@@ -118,7 +117,7 @@ class WeightedChart:
     ambient: tuple[str, ...]
     primes: dict[str, str]
     stabilizer_order: int
-    _positions: tuple[int, ...]  # of the center coordinates, in either ambient
+    positions: tuple[int, ...]  # of the center coordinates, in either ambient
 
     def _pull_aligned(self, aligned: tuple[Polynomial, ...], shift: int | None) -> PolyIdeal:
         """The chart's monomial map on aligned generators, each divided by
@@ -131,8 +130,8 @@ class WeightedChart:
         term whose total degree is above the degree cap raises
         ResourceLimitError, as the product that computes it would.
         """
-        weighted = tuple(zip(self._positions, self.weights))
-        k = self._positions[self.chart_index]
+        weighted = tuple(zip(self.positions, self.weights))
+        k = self.positions[self.chart_index]
         gens = []
         for g in aligned:
             s_exp = {exp: sum(w * exp[p] for p, w in weighted) for exp in g.terms}
@@ -174,7 +173,7 @@ def build_charts(center: CenterPresentation, N: int) -> list[WeightedChart]:
             WeightedChart(
                 center=center, N=N, chart_index=k, exceptional=s, weights=weights,
                 ambient=ambient, primes=primes, stabilizer_order=weights[k],
-                _positions=positions,
+                positions=positions,
             )
         )
     return charts
@@ -214,8 +213,8 @@ def chart_grading_ok(chart: WeightedChart, transform: PolyIdeal) -> bool:
     by s^N leaves weight -N.  On an exponent vector that weight is
     e_s - sum_{j != k} w_j * e_j, which is e_s - sum_j w_j * e_j modulo w_k,
     since s sits at the chart coordinate's position."""
-    s = chart._positions[chart.chart_index]
-    weighted = tuple(zip(chart._positions, chart.weights))
+    s = chart.positions[chart.chart_index]
+    weighted = tuple(zip(chart.positions, chart.weights))
     return all(
         (exp[s] - sum(w * exp[p] for p, w in weighted) + chart.N) % chart.stabilizer_order == 0
         for g in transform.generators
@@ -243,7 +242,7 @@ def transition_agrees(
     charts = build_charts(center, N)
     Ta = controlled_transform(I, charts[i])
     Tb = controlled_transform(I, charts[j])
-    w, pos = charts[i].weights, charts[i]._positions
+    w, pos = charts[i].weights, charts[i].positions
 
     def to_chart_i(e: tuple[int, ...]) -> tuple[Fraction, ...]:
         out: list = list(e)
@@ -268,15 +267,13 @@ def transition_agrees(
 # -- drivers ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrackedPoint:
+class TrackedPoint(NamedTuple):
     coords: tuple[tuple[str, Fraction], ...]
     mord_after: MultiOrder
     resolved: bool
 
 
-@dataclass(frozen=True)
-class ChartRecord:
+class ChartRecord(NamedTuple):
     index: int
     coordinate: str
     weights: tuple[int, ...]
@@ -286,8 +283,7 @@ class ChartRecord:
     tracked: tuple[TrackedPoint, ...]
 
 
-@dataclass(frozen=True)
-class BlowupStep:
+class BlowupStep(NamedTuple):
     label: str
     ideal: PolyIdeal
     mord: MultiOrder
@@ -307,11 +303,13 @@ class DriverStatus(str, Enum):
     STOPPED_GENERIC_POINT = "stopped-generic-point"
 
 
-@dataclass
 class PrincipalizationTrace:
-    mode: str
-    status: DriverStatus
-    steps: list[BlowupStep] = field(default_factory=list)
+    """A driver run: its mode, how it ended, and its steps in order."""
+
+    def __init__(self, mode: str, status: DriverStatus):
+        self.mode = mode
+        self.status = status
+        self.steps: list[BlowupStep] = []
 
     def step_count(self) -> int:
         return len(self.steps)
@@ -570,9 +568,9 @@ def _rendered_images(chart: WeightedChart) -> tuple[tuple[str, str], ...]:
     """The chart map u_k -> s^{w_k}, u_j -> s^{w_j} * u_j' as sorted (u_j,
     image) strings, each image read off the map on u_j's unit vector; an
     image above the degree cap raises ResourceLimitError, as the map would."""
-    k, n = chart._positions[chart.chart_index], len(chart.ambient)
+    k, n = chart.positions[chart.chart_index], len(chart.ambient)
     images = []
-    for v, p, w in zip(chart.center.coords, chart._positions, chart.weights):
+    for v, p, w in zip(chart.center.coords, chart.positions, chart.weights):
         image = [w if i == k else int(i == p) for i in range(n)]
         check_degree(sum(image))
         images.append((v, monomial_str(chart.ambient, image)))

@@ -19,9 +19,8 @@ exponent tuple, mapped back through the change.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     AdmissibilityError,
@@ -35,19 +34,23 @@ from .poly import INFINITY, Exponent, Polynomial, PolyIdeal, check_degree
 _Polys = TypeVar("_Polys", Polynomial, PolyIdeal)
 
 
-@dataclass(frozen=True)
-class AlignStep:
-    """One elementary change  new_var = coeff * var + tail  (tail free of var)."""
-
+class _AlignFields(NamedTuple):
     var: str
     coeff: Fraction
     tail: Polynomial
 
-    def __post_init__(self):
-        if self.coeff == 0:
+
+class AlignStep(_AlignFields):
+    """One elementary change  new_var = coeff * var + tail  (tail free of var)."""
+
+    __slots__ = ()
+
+    def __new__(cls, var: str, coeff: Fraction, tail: Polynomial):
+        if coeff == 0:
             raise DomainError("alignment step needs an invertible coefficient")
-        if self.var in self.tail.support():
-            raise DomainError(f"alignment tail may not involve {self.var}")
+        if var in tail.support():
+            raise DomainError(f"alignment tail may not involve {var}")
+        return super().__new__(cls, var, coeff, tail)
 
     def apply_aligned(self, f: _Polys) -> _Polys:
         # express f in the new coordinates:  var -> (var - tail)/coeff
@@ -248,8 +251,7 @@ def rounding(center: CenterPresentation) -> PolyIdeal:
 # -- leading term -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeadingTerm:
+class LeadingTerm(NamedTuple):
     """Weight-one graded piece of a center, with an ideal's image inside it.
 
     `basis` lists the exponent vectors over the center coordinates whose

@@ -14,6 +14,7 @@ cap is a context variable, so it is per thread and per asyncio task, and
 from __future__ import annotations
 
 import os
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -108,6 +109,14 @@ def degree_cap_from_env() -> int:
     """Read the default degree cap from WEIGHTEDRES_DEGREE_CAP, if set; a
     value that is not a positive integer is a ParseError."""
     raw = os.environ.get("WEIGHTEDRES_DEGREE_CAP", str(DEFAULT_DEGREE_CAP))
-    if not (raw.isascii() and raw.isdecimal()) or int(raw) < 1:
-        raise ParseError(f"WEIGHTEDRES_DEGREE_CAP must be a positive integer, got {raw!r}")
-    return int(raw)
+    if raw.isascii() and raw.isdecimal():
+        try:
+            cap = int(raw)
+        except ValueError:  # past the interpreter's int/str digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(
+                f"WEIGHTEDRES_DEGREE_CAP has {len(raw)} digits, past the limit of {limit}"
+            ) from None
+        if cap >= 1:
+            return cap
+    raise ParseError(f"WEIGHTEDRES_DEGREE_CAP must be a positive integer, got {raw!r}")

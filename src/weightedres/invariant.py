@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .centers import AlignStep, CenterPresentation, CoordinateChange
 from .errors import (
@@ -90,8 +89,7 @@ def delta(M: MarkedIdealCollection) -> Fraction | float:
     return best
 
 
-@dataclass(frozen=True)
-class ContactStep:
+class ContactStep(NamedTuple):
     """Record of one recursion level: invariant entry and aligning data."""
 
     level: int
@@ -101,8 +99,7 @@ class ContactStep:
     step: AlignStep | None  # None when the contact was already a variable
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
     mord: MultiOrder
     center: CenterPresentation | None
     chain: tuple[ContactStep, ...]

@@ -19,6 +19,7 @@ constant term) is 0.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -205,6 +206,7 @@ class Polynomial:
             # product square-and-multiply would form, so it meets the same cap
             ((exp, c),) = self.terms.items()
             check_degree(n * sum(exp))
+            check_power(c, n)
             return Polynomial(self.variables, {tuple(n * e for e in exp): c**n})
         result = Polynomial.constant(1, self.variables)
         base = self
@@ -357,6 +359,19 @@ def check_degree(degree: int, what: str = "product") -> None:
     cap = degree_cap()
     if degree > cap:
         raise ResourceLimitError(f"{what} degree {degree} exceeds cap {cap}")
+
+
+def check_power(c: Scalar, n: int) -> None:
+    """Raise ResourceLimitError, before c**n is computed, when its numerator
+    or denominator would have more digits than the interpreter's int/str
+    digit limit lets it print (no limit refuses nothing).  A b-bit integer
+    is at least 2^(b-1), so (b-1)*n bits bound the power from below; a base
+    whose numerator and denominator are at most 1 in size is never refused."""
+    bits = (max(abs(c.numerator).bit_length(), c.denominator.bit_length()) - 1) * n
+    limit = sys.get_int_max_str_digits()
+    # 0.301029995 < log10(2), so the power has more digits than this count
+    if limit and bits * 301029995 // 10**9 >= limit:
+        raise ResourceLimitError(f"a power of a coefficient has more than {limit} digits")
 
 
 def _substitute(

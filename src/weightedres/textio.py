@@ -32,7 +32,7 @@ from typing import Iterable
 from .centers import AlignStep, CenterPresentation, CoordinateChange
 from .errors import ParseError
 from .lattice import MultiOrder
-from .poly import Polynomial, PolyIdeal, check_degree, int_str, monomial_str
+from .poly import Polynomial, PolyIdeal, check_degree, check_power, int_str, monomial_str
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_']*)|(?P<sym>[-+*^()/,\[\]|]))"
@@ -123,6 +123,7 @@ class _Parser:
             # one term: scale its exponent vector, as `Polynomial.__pow__` does
             ((exp, c),) = base.items()
             check_degree(n * sum(exp))
+            check_power(c, n)
             return {tuple(n * e for e in exp): c**n}
         terms = {self.zero: 1}
         while n:

@@ -23,10 +23,10 @@ which needs a constant coefficient b_a.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import add
+from typing import NamedTuple
 
 from .centers import AlignStep, CenterPresentation, is_admissible, leading_term_decomposition
 from .errors import AdmissibilityError, CertificateError, DomainError
@@ -36,15 +36,13 @@ from .poly import Exponent, Polynomial, PolyIdeal, echelon, power_product
 SHEAR_SEQUENCE = (1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6, 7, -7, 8, -8)
 
 
-@dataclass(frozen=True)
-class LevelWitness:
+class LevelWitness(NamedTuple):
     level: int
     witness: Polynomial  # in original coordinates, b_a(0) = 1
     c_vector: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TschirnhausCertificate:
+class TschirnhausCertificate(NamedTuple):
     presentation: CenterPresentation
     witnesses: tuple[LevelWitness, ...]
     substitutions: tuple[str, ...] = ()

@@ -29,11 +29,10 @@ ambient weighted blowup.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .blowup import rees_generators
 from .centers import CenterPresentation, CoordinateChange
@@ -47,21 +46,31 @@ from .lattice import LatticeIdeal, MultiOrder, grading, is_in_mord
 from .poly import Exponent, Polynomial, PolyIdeal, echelon, power_product
 
 
-@dataclass(frozen=True)
-class TubeAlgebra:
-    """base[t]/(monomial relations), with optional width metadata."""
-
+class _TubeFields(NamedTuple):
     base_vars: tuple[str, ...]
     params: tuple[str, ...]
     relations: tuple[Exponent, ...]
     width: MultiOrder | None = None
 
-    def __post_init__(self):
-        if self.width is not None and len(self.width) != len(self.params):
+
+class TubeAlgebra(_TubeFields):
+    """base[t]/(monomial relations), with optional width metadata."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        base_vars: tuple[str, ...],
+        params: tuple[str, ...],
+        relations: tuple[Exponent, ...],
+        width: MultiOrder | None = None,
+    ):
+        if width is not None and len(width) != len(params):
             raise DomainError("parameter count must match the width length")
-        for a in self.relations:
-            if len(a) != len(self.params):
+        for a in relations:
+            if len(a) != len(params):
                 raise DomainError("relation arity does not match the parameters")
+        return super().__new__(cls, base_vars, params, relations, width)
 
     def ambient(self) -> tuple[str, ...]:
         return self.base_vars + self.params
@@ -323,8 +332,7 @@ def center_from_tube(A: TubeAlgebra) -> CenterPresentation:
 # -- tight presentations --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TightVerdict:
+class TightVerdict(NamedTuple):
     gap: int
     s_size: int
     valid: bool

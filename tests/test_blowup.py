@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -671,7 +670,7 @@ def test_driver_records_match_the_per_chart_functions():
 @pytest.mark.parametrize("text, codim", [("x^5 + x^3*y^3 + y^7", None), ("x^3 - y^5", 1)])
 def test_the_record_check_sees_a_changed_chart_weight(text, codim):
     def heavier(chart):
-        return dataclasses.replace(chart, weights=(chart.weights[0] + 1,) + chart.weights[1:])
+        return chart._replace(weights=(chart.weights[0] + 1,) + chart.weights[1:])
 
     I = parse_ideal(text)
     trace = principalize(I) if codim is None else embedded_resolve(I, codim)

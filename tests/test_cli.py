@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -550,6 +551,18 @@ def test_refusals_that_no_other_case_reaches(capsys, argv, code, message):
     assert "steps" not in out
 
 
+def test_a_constant_power_past_the_digit_limit_is_refused_before_it_is_computed(capsys):
+    # 3^10000000 has 4.8 million digits: computing it took seconds
+    start = time.perf_counter()
+    code, out = run(capsys, "mord", "3^10000000*x")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "resource-cap"
+    for text in ("3^1000*x", "1^1000000000*x", "(-1)^1000000001*x"):
+        code, out = run(capsys, "mord", text)
+        assert (code, json.loads(out)) == (0, {"mord": ["1"]}), text
+
+
 def test_a_long_root_search_coefficient_caps_the_driver_like_a_short_one(capsys):
     # the fiber's root search refuses coefficients above 10^12, and the
     # driver reports that refusal as its status; a coefficient too long to
@@ -668,6 +681,16 @@ def test_malformed_degree_cap_in_the_environment_is_a_parse_error(monkeypatch, c
     error = json.loads(out)["error"]
     assert error["code"] == "parse-error"
     assert "WEIGHTEDRES_DEGREE_CAP" in error["message"]
+
+
+def test_a_degree_cap_past_the_digit_limit_in_the_environment_is_a_parse_error(monkeypatch, capsys):
+    digits = sys.get_int_max_str_digits() + 1
+    monkeypatch.setenv("WEIGHTEDRES_DEGREE_CAP", "9" * digits)
+    code, out = run(capsys, "mord", "x")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "parse-error"
+    assert f"WEIGHTEDRES_DEGREE_CAP has {digits} digits" in error["message"]
 
 
 # -- fuzz over the input grammar ---------------------------------------------------

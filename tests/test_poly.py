@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from weightedres import (
     parse_polynomial,
 )
 from weightedres.errors import using_degree_cap
-from weightedres.poly import echelon, monomial_str
+from weightedres.poly import check_power, echelon, monomial_str
 
 VARS = ("x", "y")
 
@@ -336,6 +337,42 @@ def test_a_one_term_power_is_the_square_and_multiply_power(f, n, cap):
         assert got is ResourceLimitError
     else:
         assert got == expected and len(got.terms) == 1
+
+
+@pytest.mark.parametrize("c", [2, 3, 10, -7, Fraction(1, 3), Fraction(-5, 2), Fraction(2, 9), 10**40])
+def test_a_coefficient_power_is_refused_only_past_the_digit_limit(c):
+    # the refusal is monotone in the exponent; the least refused power
+    # cannot be printed, and it has at most twice the digits that can
+    c, limit = Fraction(c), sys.get_int_max_str_digits()
+
+    def refused(n):
+        try:
+            check_power(c, n)
+        except ResourceLimitError:
+            return True
+        return False
+
+    lo, hi = 0, 4 * limit  # not refused at lo, refused at hi
+    assert not refused(lo) and refused(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if refused(mid) else (mid, hi)
+    assert all(refused(n) for n in range(hi, hi + 50)) and not any(map(refused, range(lo)[-50:]))
+    size = max(abs(c.numerator) ** hi, c.denominator**hi)
+    assert 10**limit <= size < 10 ** (2 * limit + 2)
+    message = "^a power of a coefficient has more than"
+    with pytest.raises(ResourceLimitError, match=message):
+        Polynomial.constant(c, VARS) ** hi
+    with pytest.raises(ResourceLimitError, match=message):
+        parse_polynomial(f"({c})^{hi}*x", VARS)
+    assert Polynomial.constant(c, VARS) ** lo == Polynomial.constant(c**lo, VARS)
+
+
+@pytest.mark.parametrize("c", [0, 1, -1])
+def test_a_coefficient_power_of_a_unit_or_zero_is_never_refused(c):
+    n = 10**5000  # its own digits are past the limit
+    check_power(Fraction(c), n)
+    assert Polynomial.constant(c, VARS) ** n == Polynomial.constant(c**2, VARS)
 
 
 # -- translation ---------------------------------------------------------------
